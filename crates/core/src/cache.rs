@@ -677,16 +677,8 @@ mod tests {
         )
         .unwrap();
         let cfg = AnalysisConfig::default();
-        let report = run_probed(
-            &image,
-            Vec::new(),
-            &cfg,
-            InterpTier::default(),
-            crate::AnalysisTier::default(),
-            crate::SplitObservers::all(),
-            Probes::none(),
-        )
-        .unwrap();
+        let report =
+            run_probed(&image, Vec::new(), &cfg, InterpTier::default(), Probes::none()).unwrap();
         (image, cfg, report)
     }
 

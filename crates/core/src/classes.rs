@@ -123,14 +123,7 @@ impl ClassAnalysis {
         if !counting {
             return;
         }
-        self.count(InsnClass::of(&ev.insn) as u8, repeated);
-    }
-
-    /// Bumps the counters for an already-classified instruction — the
-    /// fused tier caches the class in its per-static hot row instead of
-    /// re-matching the instruction enum per event.
-    #[inline]
-    pub(crate) fn count(&mut self, class: u8, repeated: bool) {
+        let class = InsnClass::of(&ev.insn);
         self.counts.overall[class as usize] += 1;
         if repeated {
             self.counts.repeated[class as usize] += 1;

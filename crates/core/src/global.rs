@@ -119,10 +119,9 @@ const GM_VALID: u8 = 1 << 3;
 
 /// Per-static-instruction tagging rules, precomputed at construction so
 /// the per-event path indexes a flat table instead of re-matching the
-/// instruction enum on every retired instruction. `pub(crate)` so the
-/// fused tier (`core::fused`) can embed one per hot row.
+/// instruction enum on every retired instruction.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct GMeta {
+struct GMeta {
     /// First register read (stores: the stored register), or [`NO_REG`].
     s1: u8,
     /// Second register read, or [`NO_REG`].
@@ -133,12 +132,12 @@ pub(crate) struct GMeta {
 }
 
 impl GMeta {
-    pub(crate) const INVALID: GMeta = GMeta { s1: NO_REG, s2: NO_REG, def: NO_REG, flags: 0 };
+    const INVALID: GMeta = GMeta { s1: NO_REG, s2: NO_REG, def: NO_REG, flags: 0 };
 
     /// Derives the tagging rules for one instruction. This is the single
     /// source of truth for `observe`'s categorization; the precomputed
     /// table is just this function applied to the decoded text segment.
-    pub(crate) fn of(insn: &Insn) -> GMeta {
+    fn of(insn: &Insn) -> GMeta {
         let mut m = GMeta { s1: NO_REG, s2: NO_REG, def: NO_REG, flags: GM_VALID };
         if insn.is_store() {
             m.flags |= GM_STORE;
@@ -250,17 +249,11 @@ impl GlobalAnalysis {
     }
 
     /// Observes one retired instruction. Tag state always updates;
-    /// statistics only when `counting`.
+    /// statistics only when `counting`. Invalid metadata rows
+    /// (undecodable slots, out-of-table indices) fall back to
+    /// recomputing from the event's instruction.
     pub fn observe(&mut self, ev: &Event, repeated: bool, counting: bool) {
         let m = self.meta.get(ev.index as usize).copied().unwrap_or(GMeta::INVALID);
-        self.observe_meta(m, ev, repeated, counting);
-    }
-
-    /// [`GlobalAnalysis::observe`] with the metadata row supplied by the
-    /// caller — the fused tier keeps its own copy embedded in the hot
-    /// row. Invalid rows (undecodable slots, out-of-table indices) fall
-    /// back to recomputing from the event's instruction.
-    pub(crate) fn observe_meta(&mut self, m: GMeta, ev: &Event, repeated: bool, counting: bool) {
         let m = if m.flags & GM_VALID != 0 { m } else { GMeta::of(&ev.insn) };
 
         // 1. Input tag under the supersede rule. Stores are categorized

@@ -23,10 +23,6 @@
 //!   methodology), with every probe and the analysis cache attached
 //!   through builder methods. The pre-`Session` `analyze*` family is
 //!   gone; `scripts/ci.sh` greps to keep it from reappearing.
-//! * [`AnalysisTier`] — which observer implementation the pipeline
-//!   runs: the fused per-event hot row (default) or the seven
-//!   free-standing observers kept as its differential oracle. Both
-//!   tiers produce byte-identical results.
 //! * [`cache`] — content-addressed on-disk memoization of whole-workload
 //!   results (`instrep-repro --cache-dir`): a hit skips simulation
 //!   entirely and still renders byte-identical tables.
@@ -85,7 +81,6 @@ mod classes;
 mod coverage;
 pub mod export;
 mod function;
-mod fused;
 pub mod fxhash;
 mod global;
 pub mod interval;
@@ -108,7 +103,6 @@ pub use cache::{AnalysisCache, CacheKey, CACHE_SCHEMA_VERSION, ENTRY_PAYLOAD_OFF
 pub use classes::{ClassAnalysis, ClassCounts, InsnClass};
 pub use coverage::Coverage;
 pub use function::{FuncStats, FunctionAnalysis};
-pub use fused::{AnalysisTier, SplitObservers, OBSERVER_NAMES};
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use global::{GlobalAnalysis, GlobalCounts, GlobalTag};
 pub use instrep_sim::InterpTier;
@@ -130,7 +124,7 @@ pub use profile::{
     PROFILE_SCHEMA_VERSION,
 };
 pub use reuse::{ReuseBuffer, ReuseConfig, ReuseStats};
-pub use session::{CacheOutcome, Session};
+pub use session::{AnalysisTier, CacheOutcome, Session};
 pub use telemetry::{
     HeartbeatConfig, HeartbeatSampler, LanePhase, PipelineTelemetry, TelemetryRegistry,
     TelemetrySnapshot, TELEMETRY_SCHEMA_VERSION,

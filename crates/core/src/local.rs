@@ -196,10 +196,8 @@ const LM_VALID: u16 = 1 << 11;
 /// Per-static-instruction classification rules, precomputed at
 /// construction so the per-event path indexes a flat table instead of
 /// re-matching the instruction enum on every retired instruction.
-/// `pub(crate)` so the fused tier (`core::fused`) can embed one per hot
-/// row.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct LMeta {
+struct LMeta {
     /// First register read, or [`NO_REG`].
     s1: u8,
     /// Second register read, or [`NO_REG`].
@@ -212,13 +210,12 @@ pub(crate) struct LMeta {
 }
 
 impl LMeta {
-    pub(crate) const INVALID: LMeta =
-        LMeta { s1: NO_REG, s2: NO_REG, def: NO_REG, rt: NO_REG, flags: 0 };
+    const INVALID: LMeta = LMeta { s1: NO_REG, s2: NO_REG, def: NO_REG, rt: NO_REG, flags: 0 };
 
     /// Derives the classification rules for one instruction. This is the
     /// single source of truth for `classify`/`propagate`; the
     /// precomputed table is this function applied to the text segment.
-    pub(crate) fn of(insn: &Insn) -> LMeta {
+    fn of(insn: &Insn) -> LMeta {
         let mut m = LMeta { s1: NO_REG, s2: NO_REG, def: NO_REG, rt: NO_REG, flags: LM_VALID };
         match *insn {
             Insn::Jr { rs } if rs == Reg::RA => m.flags |= LM_RET,
@@ -387,33 +384,11 @@ impl LocalAnalysis {
     /// Observes one retired instruction, classifying it and updating tag
     /// and frame state. `region` classifies a memory access's address;
     /// `repeated` is the tracker verdict; statistics accumulate only when
-    /// `counting`.
+    /// `counting`. Invalid metadata rows fall back to recomputing from
+    /// the event's instruction.
     pub fn observe(&mut self, ev: &Event, repeated: bool, counting: bool, region: Option<Region>) {
         let m = self.meta.get(ev.index as usize).copied().unwrap_or(LMeta::INVALID);
-        self.observe_meta(&m, ev, repeated, counting, region, ev.outcome());
-    }
-
-    /// [`LocalAnalysis::observe`] with the metadata row and the event's
-    /// precomputed outcome supplied by the caller — the fused tier keeps
-    /// the row embedded in its hot row and computes `ev.outcome()`
-    /// exactly once per event. Invalid rows fall back to recomputing
-    /// from the event's instruction.
-    pub(crate) fn observe_meta(
-        &mut self,
-        m: &LMeta,
-        ev: &Event,
-        repeated: bool,
-        counting: bool,
-        region: Option<Region>,
-        outcome: u32,
-    ) {
-        let recomputed;
-        let m = if m.flags & LM_VALID != 0 {
-            m
-        } else {
-            recomputed = LMeta::of(&ev.insn);
-            &recomputed
-        };
+        let m = &if m.flags & LM_VALID != 0 { m } else { LMeta::of(&ev.insn) };
         let f = m.flags;
 
         // Shared sub-results: classification and propagation both need
@@ -434,7 +409,7 @@ impl LocalAnalysis {
             _ => None,
         };
         let g = if f & LM_LUI != 0 {
-            (abi::DATA_BASE..abi::STACK_REGION_BASE).contains(&outcome)
+            (abi::DATA_BASE..abi::STACK_REGION_BASE).contains(&ev.outcome())
         } else if f & LM_IMM != 0 {
             self.is_gaddr_n(m.s1)
         } else if f & LM_ALU != 0 {
@@ -486,7 +461,7 @@ impl LocalAnalysis {
 
     /// Determines the instruction's category (task-based first, then
     /// source tags) *before* state is updated. `reg_tag`, `loaded_tag`,
-    /// and `g` are the shared sub-results from `observe_meta`.
+    /// and `g` are the shared sub-results from `observe`.
     fn classify(
         &mut self,
         m: &LMeta,

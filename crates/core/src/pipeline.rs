@@ -13,15 +13,12 @@
 //! `scripts/ci.sh` greps the tree so they cannot reappear.
 
 use instrep_asm::Image;
-use instrep_sim::{InterpTier, Machine, RunOutcome, SimError};
-
-use instrep_isa::abi::Region;
-use instrep_sim::Event;
+use instrep_isa::abi::{self, Region};
+use instrep_sim::{Event, InterpTier, Machine, RunOutcome, SimError};
 
 use crate::classes::{ClassAnalysis, ClassCounts};
 use crate::coverage::Coverage;
 use crate::function::FunctionAnalysis;
-use crate::fused::{AnalysisTier, FusedAnalysis, SplitObservers};
 use crate::global::{GlobalAnalysis, GlobalCounts};
 use crate::interval::{IntervalSampler, IntervalWindow};
 use crate::local::{LocalAnalysis, LocalCounts};
@@ -31,8 +28,8 @@ use crate::predict::{PredictStats, StrideStats, ValuePredictors};
 use crate::profile::InstructionProfile;
 use crate::reuse::{ReuseBuffer, ReuseConfig, ReuseStats};
 use crate::telemetry::{LanePhase, LiveCount, PipelineTelemetry};
-use crate::trace_span::SpanLane;
-use crate::tracker::{self, RepetitionTracker, StaticStats, TrackerConfig};
+use crate::trace_span::{OpenSpan, SpanLane};
+use crate::tracker::{RepetitionTracker, TrackerConfig};
 
 /// Configuration for an analysis run ([`Session`](crate::Session)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -187,10 +184,7 @@ pub struct Probes<'a> {
     pub telemetry: Option<&'a PipelineTelemetry>,
     /// Dynamic loop-nest profiler (`core::loops`): online back-edge
     /// loop detection plus a per-event path assignment, joined against
-    /// the tracker's per-static stats at finalize. The one probe with a
-    /// per-event cost on the analysis side, so the engine is
-    /// re-monomorphized with it attached and the probe-off hot path is
-    /// untouched.
+    /// the tracker's per-static stats at finalize.
     pub loops: Option<&'a mut LoopProfiler>,
 }
 
@@ -203,149 +197,196 @@ impl Probes<'_> {
 
 /// One simulation pass with any combination of [`Probes`] attached —
 /// the entry everything else (the `Session` builder,
-/// `steady_state_check`) runs on. Dispatches once, before any
-/// event retires, to the per-event engine the analysis tier selects;
-/// the phase scaffolding and the report/gauge assembly are shared, so
-/// the two tiers cannot drift in anything but the per-event hot path.
+/// `steady_state_check`) runs on.
 ///
 /// Metrics and spans sample the clock at phase boundaries only; the
-/// interval sampler adds one counter increment per measured instruction
-/// and reads gauges at window boundaries. None of them feed back into
-/// the analyses, so the report is byte-identical whatever is attached.
+/// interval sampler, the loop profiler and the telemetry tick are
+/// `Option`s checked per event. None of them feed back into the
+/// analyses, so the report is byte-identical whatever is attached.
 pub(crate) fn run_probed(
     image: &Image,
     input: Vec<u8>,
     cfg: &AnalysisConfig,
     interp: InterpTier,
-    analysis: AnalysisTier,
-    observers: SplitObservers,
     mut probes: Probes<'_>,
 ) -> Result<WorkloadReport, SimError> {
-    // The loop profiler is the one probe with per-event analysis work,
-    // so it wraps the engine instead of hanging off the event loop:
-    // each (tier, probe) combination monomorphizes separately and the
-    // probe-off paths compile exactly as before.
-    let loops = probes.loops.take();
-    match (analysis, loops) {
-        (AnalysisTier::Fused, None) => {
-            let engine = FusedAnalysis::new(image, cfg.tracker, cfg.reuse);
-            run_engine(image, input, cfg, interp, engine, probes)
+    let phase = probes.begin(LanePhase::Setup);
+    let mut machine = Machine::with_tier(image, interp);
+    machine.set_input(input);
+    let mut obs = Observers::new(image, cfg);
+    let mut live = probes.telemetry.map(|t| LiveCount::new(t.lane()));
+    let mut loops = probes.loops.take();
+    let mut sampler = probes.sampler.take();
+
+    // Region classification: the simulator traps accesses between the
+    // real heap break and the stack region, so any surviving address in
+    // (data_end, STACK_REGION_BASE) is heap — pass the stack base as the
+    // effective break.
+    let data_end = image.data_end();
+    let region_of =
+        |ev: &Event| ev.mem.map(|m| abi::region_of(m.addr, data_end, abi::STACK_REGION_BASE));
+    probes.end(phase, 0);
+
+    // Skip phase: propagate analysis state without counting. The tracker
+    // is idle during the skip (buffering starts with measurement, as in
+    // the paper).
+    let phase = probes.begin(LanePhase::Skip);
+    let mut outcome = RunOutcome::MaxedOut;
+    if cfg.skip > 0 {
+        outcome = machine.run(cfg.skip, |ev| {
+            if let Some(lp) = loops.as_deref_mut() {
+                lp.observe(ev, false);
+            }
+            obs.skip(ev, region_of(ev));
+            if let Some(l) = live.as_mut() {
+                l.tick();
+            }
+        })?;
+    }
+    if let Some(l) = live.as_mut() {
+        l.flush();
+    }
+    probes.end(phase, machine.icount());
+
+    // Measurement window. The sampler reads gauges only at window
+    // boundaries.
+    let phase = probes.begin(LanePhase::Measure);
+    let measured_from = machine.icount();
+    if machine.exit_code().is_none() {
+        outcome = machine.run(cfg.window, |ev| {
+            if let Some(lp) = loops.as_deref_mut() {
+                lp.observe(ev, true);
+            }
+            obs.measure(ev, region_of(ev));
+            if let Some(l) = live.as_mut() {
+                l.tick();
+            }
+            if let Some(s) = sampler.as_deref_mut() {
+                if s.tick() {
+                    let (repeated, reuse_hits, buffered) = obs.sampler_gauges();
+                    s.flush(repeated, reuse_hits, buffered);
+                }
+            }
+        })?;
+    }
+    if let Some(l) = live.as_mut() {
+        l.flush();
+    }
+    if let Some(s) = sampler {
+        let (repeated, reuse_hits, buffered) = obs.sampler_gauges();
+        s.finish(repeated, reuse_hits, buffered);
+    }
+    probes.end(phase, machine.icount() - measured_from);
+
+    let phase = probes.begin(LanePhase::Finalize);
+    let Observers { tracker, global, function, local, reuse, classes, values } = &obs;
+    let static_stats = tracker.static_stats();
+    let (prologue_top, prologue_coverage) = local.prologue_report(cfg.top_k);
+    let report = WorkloadReport {
+        outcome,
+        dynamic_total: tracker.dynamic_total(),
+        dynamic_repeated: tracker.dynamic_repeated(),
+        static_total: tracker.static_total(),
+        static_executed: tracker.static_executed(),
+        static_repeated: tracker.static_repeated(),
+        unique_repeatable: tracker.unique_repeatable_instances(),
+        avg_repeats: tracker.avg_repeats(),
+        static_coverage: static_stats
+            .iter()
+            .filter(|s| s.repeated > 0)
+            .map(|s| s.repeated)
+            .collect(),
+        instance_histogram: tracker.instance_histogram(),
+        instance_coverage: Coverage::new(tracker.instance_repeat_counts()),
+        global: *global.counts(),
+        funcs_called: function.static_called(),
+        dynamic_calls: function.total_calls(),
+        all_arg_rate: function.all_arg_rate(),
+        no_arg_rate: function.no_arg_rate(),
+        pure_rate: function.pure_rate(),
+        pure_all_arg_rate: function.pure_all_arg_rate(),
+        argset_coverage: function.top_argset_coverage(cfg.top_k),
+        local: *local.counts(),
+        prologue_top,
+        prologue_coverage,
+        load_value_coverage: local.load_value_coverage(cfg.top_k),
+        reuse: *reuse.stats(),
+        classes: *classes.counts(),
+        predict: *values.lvp_stats(),
+        stride: *values.stride_stats(),
+    };
+
+    // Pull-based: one pass over state the observers (and the loop
+    // profiler's path assignments) accumulated anyway.
+    if let Some(p) = probes.profile.as_deref_mut() {
+        p.fill_from_stats(image, &static_stats);
+    }
+    if let Some(lp) = loops {
+        lp.fill_from_stats(image, &static_stats);
+    }
+    if let Some(m) = probes.metrics.as_deref_mut() {
+        // Occupancy gauges, in a fixed order (deterministic documents).
+        m.gauge("tracker_static_entries", tracker.static_total() as u64);
+        m.gauge("tracker_instances_buffered", tracker.instances_buffered());
+        m.gauge("tracker_table_bytes_est", tracker.approx_table_bytes());
+        m.gauge("reuse_entries_valid", reuse.occupancy());
+        m.gauge("global_shadow_words", global.shadow_words());
+        m.gauge("function_argtuples", function.distinct_argtuples());
+        m.gauge("local_stack_tag_words", local.shadow_stack_words());
+        m.gauge("local_load_sites", local.load_sites());
+        m.gauge("local_load_values", local.load_values_tracked());
+        m.gauge("predict_lvp_entries", values.lvp_entries());
+        m.gauge("predict_stride_entries", values.stride_entries());
+        let fp = machine.footprint();
+        m.gauge("sim_resident_pages", fp.resident_pages as u64);
+        m.gauge("sim_resident_bytes", fp.resident_bytes as u64);
+        m.gauge("sim_output_bytes", fp.output_bytes as u64);
+    }
+    probes.end(phase, 0);
+
+    Ok(report)
+}
+
+/// One pipeline phase's open clocks: the metrics timer, the trace span
+/// and the telemetry timer, each present when its probe is attached.
+struct OpenPhase {
+    phase: LanePhase,
+    timer: Option<PhaseTimer>,
+    span: Option<OpenSpan>,
+    lane: Option<PhaseTimer>,
+}
+
+impl Probes<'_> {
+    /// Opens `phase` on every attached phase clock.
+    fn begin(&mut self, phase: LanePhase) -> OpenPhase {
+        OpenPhase {
+            phase,
+            timer: self.metrics.as_ref().map(|_| PhaseTimer::start()),
+            span: self.spans.as_mut().map(|l| l.begin()),
+            lane: self.telemetry.map(|t| t.begin(phase)),
         }
-        (AnalysisTier::Fused, Some(lp)) => {
-            let engine =
-                LoopedEngine { inner: FusedAnalysis::new(image, cfg.tracker, cfg.reuse), lp };
-            run_engine(image, input, cfg, interp, engine, probes)
+    }
+
+    /// Closes `open`, recording `events` retired instructions.
+    fn end(&mut self, open: OpenPhase, events: u64) {
+        let name = open.phase.name();
+        if let (Some(m), Some(t)) = (self.metrics.as_deref_mut(), open.timer) {
+            m.record_phase(name, t, events);
         }
-        (AnalysisTier::Split, None) => {
-            let engine = SplitEngine::new(image, cfg, observers);
-            run_engine(image, input, cfg, interp, engine, probes)
+        if let (Some(l), Some(s)) = (self.spans.as_deref_mut(), open.span) {
+            l.end(s, name, "phase", events);
         }
-        (AnalysisTier::Split, Some(lp)) => {
-            let engine = LoopedEngine { inner: SplitEngine::new(image, cfg, observers), lp };
-            run_engine(image, input, cfg, interp, engine, probes)
+        if let (Some(t), Some(lt)) = (self.telemetry, open.lane) {
+            t.end(open.phase, lt);
         }
     }
 }
 
-/// The per-event half of an analysis tier, monomorphized into the
-/// measure loop (no dynamic dispatch on the hot path). The finalize
-/// half hands back tier-independent aggregates so the report and gauge
-/// assembly in [`run_engine`] is literally shared code.
-trait AnalysisEngine {
-    /// Skip-phase event: propagate state, count nothing.
-    fn skip(&mut self, ev: &Event, region: Option<Region>);
-    /// Measurement-phase event.
-    fn measure(&mut self, ev: &Event, region: Option<Region>);
-    /// `(dynamic_repeated, reuse_hits, instances_buffered)` for the
-    /// interval sampler's window flush.
-    fn sampler_gauges(&self) -> (u64, u64, u64);
-    /// Tracker-equivalent aggregates for the report (takes `&mut self`
-    /// so a tier may flush deferred per-event state first).
-    fn numbers(&mut self) -> TrackerNumbers;
-    /// Borrowed views of the non-tracker observers and predictor stats.
-    fn parts(&self) -> ObserverParts<'_>;
-    /// Finalize hook for the loop profiler: joins the per-static stats
-    /// against the recorded loop paths. A no-op unless the engine is
-    /// wrapped in [`LoopedEngine`].
-    fn finalize_loops(&mut self, _image: &Image, _stats: &[StaticStats]) {}
-}
-
-/// An [`AnalysisEngine`] with the loop-nest profiler fused into its
-/// per-event path — the mechanism behind [`Probes::loops`]. Pure
-/// delegation plus one `LoopProfiler::observe` per event; the profiler
-/// reads the event stream only, so the inner engine's report is
-/// byte-identical with or without the wrapper.
-struct LoopedEngine<'a, E> {
-    inner: E,
-    lp: &'a mut LoopProfiler,
-}
-
-impl<E: AnalysisEngine> AnalysisEngine for LoopedEngine<'_, E> {
-    fn skip(&mut self, ev: &Event, region: Option<Region>) {
-        self.lp.observe(ev, false);
-        self.inner.skip(ev, region);
-    }
-
-    fn measure(&mut self, ev: &Event, region: Option<Region>) {
-        self.lp.observe(ev, true);
-        self.inner.measure(ev, region);
-    }
-
-    fn sampler_gauges(&self) -> (u64, u64, u64) {
-        self.inner.sampler_gauges()
-    }
-
-    fn numbers(&mut self) -> TrackerNumbers {
-        self.inner.numbers()
-    }
-
-    fn parts(&self) -> ObserverParts<'_> {
-        self.inner.parts()
-    }
-
-    fn finalize_loops(&mut self, image: &Image, stats: &[StaticStats]) {
-        self.lp.fill_from_stats(image, stats);
-    }
-}
-
-/// The tracker-side aggregates a tier produces for the report — the
-/// split [`RepetitionTracker`] accessor family, materialized.
-struct TrackerNumbers {
-    dynamic_total: u64,
-    dynamic_repeated: u64,
-    static_total: usize,
-    static_executed: usize,
-    static_repeated: usize,
-    unique_repeatable: u64,
-    avg_repeats: f64,
-    instance_histogram: [f64; 5],
-    static_stats: Vec<StaticStats>,
-    /// Repeat counts of every unique repeatable instance; order is
-    /// unspecified (every consumer sorts).
-    instance_counts: Vec<u64>,
-    instances_buffered: u64,
-}
-
-/// Borrowed views of the observers whose state both tiers keep in the
-/// same structures, plus the (Copy) predictor statistics.
-struct ObserverParts<'a> {
-    global: &'a GlobalAnalysis,
-    function: &'a FunctionAnalysis,
-    local: &'a LocalAnalysis,
-    reuse: &'a ReuseBuffer,
-    classes: &'a ClassAnalysis,
-    predict: PredictStats,
-    stride: StrideStats,
-    lvp_entries: u64,
-}
-
-/// The split tier: the seven free-standing observers, each gated by its
-/// [`SplitObservers`] flag (the mechanism behind `--disable-observer`,
-/// which `scripts/bench.sh` uses to measure marginal per-event costs).
-/// With every flag set this is exactly the pre-fusion pipeline — the
-/// differential oracle.
-struct SplitEngine {
-    obs: SplitObservers,
+/// The seven observers behind the paper's tables, driven one event at a
+/// time. During the skip the dataflow observers propagate state and
+/// nothing counts; during measurement the tracker's verdict feeds every
+/// other observer.
+struct Observers {
     tracker: RepetitionTracker,
     global: GlobalAnalysis,
     function: FunctionAnalysis,
@@ -355,10 +396,9 @@ struct SplitEngine {
     values: ValuePredictors,
 }
 
-impl SplitEngine {
-    fn new(image: &Image, cfg: &AnalysisConfig, obs: SplitObservers) -> SplitEngine {
-        SplitEngine {
-            obs,
+impl Observers {
+    fn new(image: &Image, cfg: &AnalysisConfig) -> Observers {
+        Observers {
             tracker: RepetitionTracker::new(cfg.tracker, image.text.len()),
             global: GlobalAnalysis::new(image),
             function: FunctionAnalysis::new(image),
@@ -368,43 +408,27 @@ impl SplitEngine {
             values: ValuePredictors::new(),
         }
     }
-}
 
-impl AnalysisEngine for SplitEngine {
+    /// Skip-phase event: propagate state, count nothing.
     fn skip(&mut self, ev: &Event, region: Option<Region>) {
-        if self.obs.global {
-            self.global.observe(ev, false, false);
-        }
-        if self.obs.function {
-            self.function.observe(ev, false, region);
-        }
-        if self.obs.local {
-            self.local.observe(ev, false, false, region);
-        }
+        self.global.observe(ev, false, false);
+        self.function.observe(ev, false, region);
+        self.local.observe(ev, false, false, region);
     }
 
+    /// Measurement-phase event.
     fn measure(&mut self, ev: &Event, region: Option<Region>) {
-        let repeated = if self.obs.tracker { self.tracker.observe(ev) } else { false };
-        if self.obs.global {
-            self.global.observe(ev, repeated, true);
-        }
-        if self.obs.function {
-            self.function.observe(ev, true, region);
-        }
-        if self.obs.local {
-            self.local.observe(ev, repeated, true, region);
-        }
-        if self.obs.reuse {
-            self.reuse.observe(ev, repeated);
-        }
-        if self.obs.classes {
-            self.classes.observe(ev, repeated, true);
-        }
-        if self.obs.predict {
-            self.values.observe(ev, repeated);
-        }
+        let repeated = self.tracker.observe(ev);
+        self.global.observe(ev, repeated, true);
+        self.function.observe(ev, true, region);
+        self.local.observe(ev, repeated, true, region);
+        self.reuse.observe(ev, repeated);
+        self.classes.observe(ev, repeated, true);
+        self.values.observe(ev, repeated);
     }
 
+    /// `(dynamic_repeated, reuse_hits, instances_buffered)` for the
+    /// interval sampler's window flush.
     fn sampler_gauges(&self) -> (u64, u64, u64) {
         (
             self.tracker.dynamic_repeated(),
@@ -412,298 +436,6 @@ impl AnalysisEngine for SplitEngine {
             self.tracker.instances_buffered(),
         )
     }
-
-    fn numbers(&mut self) -> TrackerNumbers {
-        TrackerNumbers {
-            dynamic_total: self.tracker.dynamic_total(),
-            dynamic_repeated: self.tracker.dynamic_repeated(),
-            static_total: self.tracker.static_total(),
-            static_executed: self.tracker.static_executed(),
-            static_repeated: self.tracker.static_repeated(),
-            unique_repeatable: self.tracker.unique_repeatable_instances(),
-            avg_repeats: self.tracker.avg_repeats(),
-            instance_histogram: self.tracker.instance_histogram(),
-            static_stats: self.tracker.static_stats(),
-            instance_counts: self.tracker.instance_repeat_counts(),
-            instances_buffered: self.tracker.instances_buffered(),
-        }
-    }
-
-    fn parts(&self) -> ObserverParts<'_> {
-        ObserverParts {
-            global: &self.global,
-            function: &self.function,
-            local: &self.local,
-            reuse: &self.reuse,
-            classes: &self.classes,
-            predict: *self.values.lvp_stats(),
-            stride: *self.values.stride_stats(),
-            lvp_entries: self.values.lvp_entries(),
-        }
-    }
-}
-
-impl AnalysisEngine for FusedAnalysis {
-    fn skip(&mut self, ev: &Event, region: Option<Region>) {
-        self.skip_event(ev, region);
-    }
-
-    fn measure(&mut self, ev: &Event, region: Option<Region>) {
-        self.measure_event(ev, region);
-    }
-
-    fn sampler_gauges(&self) -> (u64, u64, u64) {
-        (self.dynamic_repeated(), self.reuse.stats().hits, self.instances_buffered())
-    }
-
-    fn numbers(&mut self) -> TrackerNumbers {
-        let s = self.tracker_summary();
-        TrackerNumbers {
-            dynamic_total: self.dynamic_total(),
-            dynamic_repeated: self.dynamic_repeated(),
-            static_total: self.static_total(),
-            static_executed: s.static_executed,
-            static_repeated: s.static_repeated,
-            unique_repeatable: s.unique_repeatable,
-            avg_repeats: s.avg_repeats,
-            instance_histogram: s.histogram,
-            static_stats: s.static_stats,
-            instance_counts: s.instance_counts,
-            instances_buffered: self.instances_buffered(),
-        }
-    }
-
-    fn parts(&self) -> ObserverParts<'_> {
-        ObserverParts {
-            global: &self.global,
-            function: &self.function,
-            local: &self.local,
-            reuse: &self.reuse,
-            classes: &self.classes,
-            predict: *self.lvp_stats(),
-            stride: *self.stride_stats(),
-            lvp_entries: self.lvp_entries(),
-        }
-    }
-}
-
-/// The tier-independent pipeline: phase scaffolding, probe plumbing,
-/// and the shared report/gauge assembly around one [`AnalysisEngine`].
-fn run_engine<E: AnalysisEngine>(
-    image: &Image,
-    input: Vec<u8>,
-    cfg: &AnalysisConfig,
-    interp: InterpTier,
-    mut engine: E,
-    mut probes: Probes<'_>,
-) -> Result<WorkloadReport, SimError> {
-    let tel = probes.telemetry;
-    let timer = probes.metrics.as_ref().map(|_| PhaseTimer::start());
-    let span = probes.spans.as_mut().map(|l| l.begin());
-    let lt = tel.map(|t| t.begin(LanePhase::Setup));
-    let mut machine = Machine::with_tier(image, interp);
-    machine.set_input(input);
-
-    // Region classification: the simulator traps accesses between the
-    // real heap break and the stack region, so any surviving address in
-    // (data_end, STACK_REGION_BASE) is heap — pass the stack base as the
-    // effective break.
-    let pseudo_brk = instrep_isa::abi::STACK_REGION_BASE;
-    let data_end = image.data_end();
-    if let Some(m) = probes.metrics.as_deref_mut() {
-        m.record_phase("setup", timer.expect("timer started with metrics"), 0);
-    }
-    if let Some(l) = probes.spans.as_deref_mut() {
-        l.end(span.expect("span opened with lane"), "setup", "phase", 0);
-    }
-    if let Some(t) = tel {
-        t.end(LanePhase::Setup, lt.expect("telemetry timer started"));
-    }
-
-    // Skip phase: propagate analysis state without counting. The tracker
-    // is idle during the skip (buffering starts with measurement, as in
-    // the paper).
-    let timer = probes.metrics.as_ref().map(|_| PhaseTimer::start());
-    let span = probes.spans.as_mut().map(|l| l.begin());
-    let lt = tel.map(|t| t.begin(LanePhase::Skip));
-    let mut outcome = RunOutcome::MaxedOut;
-    if cfg.skip > 0 {
-        outcome = match tel {
-            None => machine.run(cfg.skip, |ev| {
-                let region =
-                    ev.mem.map(|m| instrep_isa::abi::region_of(m.addr, data_end, pseudo_brk));
-                engine.skip(ev, region);
-            })?,
-            Some(t) => {
-                let mut live = LiveCount::new(t.lane());
-                let outcome = machine.run(cfg.skip, |ev| {
-                    let region =
-                        ev.mem.map(|m| instrep_isa::abi::region_of(m.addr, data_end, pseudo_brk));
-                    engine.skip(ev, region);
-                    live.tick();
-                })?;
-                live.flush();
-                outcome
-            }
-        };
-    }
-    if let Some(m) = probes.metrics.as_deref_mut() {
-        m.record_phase("skip", timer.expect("timer started with metrics"), machine.icount());
-    }
-    if let Some(l) = probes.spans.as_deref_mut() {
-        l.end(span.expect("span opened with lane"), "skip", "phase", machine.icount());
-    }
-    if let Some(t) = tel {
-        t.end(LanePhase::Skip, lt.expect("telemetry timer started"));
-    }
-
-    // Measurement window; the sampler variant adds one tick per event
-    // and reads gauges only at window boundaries.
-    let timer = probes.metrics.as_ref().map(|_| PhaseTimer::start());
-    let span = probes.spans.as_mut().map(|l| l.begin());
-    let lt = tel.map(|t| t.begin(LanePhase::Measure));
-    let measured_from = machine.icount();
-    if machine.exit_code().is_none() {
-        outcome = match (probes.sampler.as_deref_mut(), tel) {
-            (None, None) => machine.run(cfg.window, |ev| {
-                let region =
-                    ev.mem.map(|m| instrep_isa::abi::region_of(m.addr, data_end, pseudo_brk));
-                engine.measure(ev, region);
-            })?,
-            (None, Some(t)) => {
-                let mut live = LiveCount::new(t.lane());
-                let outcome = machine.run(cfg.window, |ev| {
-                    let region =
-                        ev.mem.map(|m| instrep_isa::abi::region_of(m.addr, data_end, pseudo_brk));
-                    engine.measure(ev, region);
-                    live.tick();
-                })?;
-                live.flush();
-                outcome
-            }
-            (Some(s), None) => machine.run(cfg.window, |ev| {
-                let region =
-                    ev.mem.map(|m| instrep_isa::abi::region_of(m.addr, data_end, pseudo_brk));
-                engine.measure(ev, region);
-                if s.tick() {
-                    let (repeated, reuse_hits, buffered) = engine.sampler_gauges();
-                    s.flush(repeated, reuse_hits, buffered);
-                }
-            })?,
-            (Some(s), Some(t)) => {
-                let mut live = LiveCount::new(t.lane());
-                let outcome = machine.run(cfg.window, |ev| {
-                    let region =
-                        ev.mem.map(|m| instrep_isa::abi::region_of(m.addr, data_end, pseudo_brk));
-                    engine.measure(ev, region);
-                    live.tick();
-                    if s.tick() {
-                        let (repeated, reuse_hits, buffered) = engine.sampler_gauges();
-                        s.flush(repeated, reuse_hits, buffered);
-                    }
-                })?;
-                live.flush();
-                outcome
-            }
-        };
-    }
-    if let Some(s) = probes.sampler.as_deref_mut() {
-        let (repeated, reuse_hits, buffered) = engine.sampler_gauges();
-        s.finish(repeated, reuse_hits, buffered);
-    }
-    if let Some(m) = probes.metrics.as_deref_mut() {
-        let t = timer.expect("timer started with metrics");
-        m.record_phase("measure", t, machine.icount() - measured_from);
-    }
-    if let Some(l) = probes.spans.as_deref_mut() {
-        let sp = span.expect("span opened with lane");
-        l.end(sp, "measure", "phase", machine.icount() - measured_from);
-    }
-    if let Some(t) = tel {
-        t.end(LanePhase::Measure, lt.expect("telemetry timer started"));
-    }
-
-    let timer = probes.metrics.as_ref().map(|_| PhaseTimer::start());
-    let span = probes.spans.as_mut().map(|l| l.begin());
-    let lt = tel.map(|t| t.begin(LanePhase::Finalize));
-    let mut tn = engine.numbers();
-    let parts = engine.parts();
-    let static_coverage =
-        tn.static_stats.iter().filter(|s| s.repeated > 0).map(|s| s.repeated).collect();
-    let instance_coverage = Coverage::new(std::mem::take(&mut tn.instance_counts));
-    let (prologue_top, prologue_coverage) = parts.local.prologue_report(cfg.top_k);
-
-    let report = WorkloadReport {
-        outcome,
-        dynamic_total: tn.dynamic_total,
-        dynamic_repeated: tn.dynamic_repeated,
-        static_total: tn.static_total,
-        static_executed: tn.static_executed,
-        static_repeated: tn.static_repeated,
-        unique_repeatable: tn.unique_repeatable,
-        avg_repeats: tn.avg_repeats,
-        static_coverage,
-        instance_histogram: tn.instance_histogram,
-        instance_coverage,
-        global: *parts.global.counts(),
-        funcs_called: parts.function.static_called(),
-        dynamic_calls: parts.function.total_calls(),
-        all_arg_rate: parts.function.all_arg_rate(),
-        no_arg_rate: parts.function.no_arg_rate(),
-        pure_rate: parts.function.pure_rate(),
-        pure_all_arg_rate: parts.function.pure_all_arg_rate(),
-        argset_coverage: parts.function.top_argset_coverage(cfg.top_k),
-        local: *parts.local.counts(),
-        prologue_top,
-        prologue_coverage,
-        load_value_coverage: parts.local.load_value_coverage(cfg.top_k),
-        reuse: *parts.reuse.stats(),
-        classes: *parts.classes.counts(),
-        predict: parts.predict,
-        stride: parts.stride,
-    };
-
-    if let Some(p) = probes.profile {
-        // Pull-based: one pass over state the tier accumulated anyway.
-        p.fill_from_stats(image, &tn.static_stats);
-    }
-    if let Some(m) = probes.metrics {
-        m.record_phase("finalize", timer.expect("timer started with metrics"), 0);
-        // Occupancy gauges, in a fixed order (deterministic documents).
-        // All of them are tier-invariant: the fused tier reports the
-        // same logical occupancies (and the same split-layout byte
-        // estimate) as the oracle observers.
-        m.gauge("tracker_static_entries", tn.static_total as u64);
-        m.gauge("tracker_instances_buffered", tn.instances_buffered);
-        m.gauge(
-            "tracker_table_bytes_est",
-            tracker::table_bytes_estimate(tn.instances_buffered, tn.static_total),
-        );
-        m.gauge("reuse_entries_valid", parts.reuse.occupancy());
-        m.gauge("global_shadow_words", parts.global.shadow_words());
-        m.gauge("function_argtuples", parts.function.distinct_argtuples());
-        m.gauge("local_stack_tag_words", parts.local.shadow_stack_words());
-        m.gauge("local_load_sites", parts.local.load_sites());
-        m.gauge("local_load_values", parts.local.load_values_tracked());
-        m.gauge("predict_lvp_entries", parts.lvp_entries);
-        m.gauge("predict_stride_entries", parts.lvp_entries);
-        let fp = machine.footprint();
-        m.gauge("sim_resident_pages", fp.resident_pages as u64);
-        m.gauge("sim_resident_bytes", fp.resident_bytes as u64);
-        m.gauge("sim_output_bytes", fp.output_bytes as u64);
-    }
-    // Pull-based like the profile: one pass over state the tier (and
-    // the wrapper's path assignments) accumulated anyway. A no-op for
-    // unwrapped engines.
-    engine.finalize_loops(image, &tn.static_stats);
-    if let Some(l) = probes.spans {
-        l.end(span.expect("span opened with lane"), "finalize", "phase", 0);
-    }
-    if let Some(t) = tel {
-        t.end(LanePhase::Finalize, lt.expect("telemetry timer started"));
-    }
-
-    Ok(report)
 }
 
 /// One unit of work for [`Session::run`](crate::Session::run): a built
@@ -810,26 +542,10 @@ pub fn steady_state_check(
     cfg: &AnalysisConfig,
     factor: u64,
 ) -> Result<f64, SimError> {
-    let short = run_probed(
-        image,
-        input.clone(),
-        cfg,
-        InterpTier::default(),
-        AnalysisTier::default(),
-        SplitObservers::all(),
-        Probes::none(),
-    )?;
+    let short = run_probed(image, input.clone(), cfg, InterpTier::default(), Probes::none())?;
     let mut long_cfg = *cfg;
     long_cfg.window = cfg.window.saturating_mul(factor);
-    let long = run_probed(
-        image,
-        input,
-        &long_cfg,
-        InterpTier::default(),
-        AnalysisTier::default(),
-        SplitObservers::all(),
-        Probes::none(),
-    )?;
+    let long = run_probed(image, input, &long_cfg, InterpTier::default(), Probes::none())?;
     let mut max_dev: f64 = 0.0;
     for cat in crate::local::LocalCat::ALL {
         let dev = (short.local.overall_share(cat) - long.local.overall_share(cat)).abs();
@@ -946,16 +662,8 @@ mod tests {
         let plain = quick(&image, &cfg);
         let mut m = WorkloadMetrics::default();
         let probes = Probes { metrics: Some(&mut m), ..Probes::none() };
-        let instrumented = run_probed(
-            &image,
-            Vec::new(),
-            &cfg,
-            InterpTier::default(),
-            AnalysisTier::default(),
-            SplitObservers::all(),
-            probes,
-        )
-        .unwrap();
+        let instrumented =
+            run_probed(&image, Vec::new(), &cfg, InterpTier::default(), probes).unwrap();
         assert_eq!(format!("{plain:?}"), format!("{instrumented:?}"));
         // Phases arrive in pipeline order with the right event counts.
         let names: Vec<&str> = m.phases.iter().map(|p| p.name).collect();
@@ -1011,8 +719,6 @@ mod tests {
             Vec::new(),
             &cfg,
             InterpTier::default(),
-            AnalysisTier::default(),
-            SplitObservers::all(),
             Probes {
                 metrics: Some(&mut m),
                 spans: Some(&mut lane),
@@ -1064,8 +770,6 @@ mod tests {
             Vec::new(),
             &cfg,
             InterpTier::default(),
-            AnalysisTier::default(),
-            SplitObservers::all(),
             Probes { sampler: Some(&mut sampler), ..Probes::none() },
         )
         .unwrap();

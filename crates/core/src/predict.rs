@@ -75,77 +75,13 @@ impl StrideStats {
 /// `lvp` is `0` when empty, else bit 32 plus the last observed value.
 /// `seen == 0` marks the stride half empty; both halves fill on the
 /// same event (the first observed register result at this index).
-/// `pub(crate)` so the fused tier (`core::fused`) can embed one per hot
-/// row.
 #[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct PredSlot {
+struct PredSlot {
     lvp: u64,
     last: u32,
     stride: u32,
     candidate: u32,
     seen: u32,
-}
-
-/// What one [`step_slot`] call did, for the caller's bookkeeping.
-pub(crate) struct StepOutcome {
-    /// The slot was empty before this event (count it as a new entry).
-    pub new_entry: bool,
-    /// The last-value prediction would have been correct.
-    pub lvp_hit: bool,
-    /// The stride prediction would have been correct.
-    pub stride_hit: bool,
-}
-
-/// Advances one predictor slot by one observed register result and
-/// accumulates the hit statistics — the single source of truth for both
-/// predictor halves, shared by [`ValuePredictors::observe`] and the
-/// fused tier's hot-row slots.
-#[inline]
-pub(crate) fn step_slot(
-    s: &mut PredSlot,
-    out: u32,
-    repeated: bool,
-    lvp_stats: &mut PredictStats,
-    stride_stats: &mut StrideStats,
-) -> StepOutcome {
-    lvp_stats.predictable += 1;
-    stride_stats.predictable += 1;
-
-    // Last-value half.
-    let prev = s.lvp;
-    let new_entry = prev == 0;
-    s.lvp = (1 << 32) | u64::from(out);
-    let lvp_hit = prev != 0 && prev as u32 == out;
-    if lvp_hit {
-        lvp_stats.correct += 1;
-        if repeated {
-            lvp_stats.correct_and_repeated += 1;
-        }
-    }
-
-    // Two-delta stride half.
-    let stride_hit = if s.seen == 0 {
-        s.last = out;
-        s.stride = 0;
-        s.candidate = 0;
-        s.seen = 1;
-        false
-    } else {
-        let predicted = s.last.wrapping_add(s.stride);
-        let hit = predicted == out;
-        let new_delta = out.wrapping_sub(s.last);
-        if new_delta == s.candidate {
-            s.stride = new_delta;
-        } else {
-            s.candidate = new_delta;
-        }
-        s.last = out;
-        hit
-    };
-    if stride_hit {
-        stride_stats.correct += 1;
-    }
-    StepOutcome { new_entry, lvp_hit, stride_hit }
 }
 
 /// Unbounded per-static-instruction last-value and two-delta stride
@@ -184,17 +120,47 @@ impl ValuePredictors {
         if idx >= self.table.len() {
             self.table.resize(idx + 1, PredSlot::default());
         }
-        let step = step_slot(
-            &mut self.table[idx],
-            out,
-            repeated,
-            &mut self.lvp_stats,
-            &mut self.stride_stats,
-        );
-        if step.new_entry {
+        let s = &mut self.table[idx];
+        self.lvp_stats.predictable += 1;
+        self.stride_stats.predictable += 1;
+
+        // Last-value half.
+        let prev = s.lvp;
+        if prev == 0 {
             self.entries += 1;
         }
-        (step.lvp_hit, step.stride_hit)
+        s.lvp = (1 << 32) | u64::from(out);
+        let lvp_hit = prev != 0 && prev as u32 == out;
+        if lvp_hit {
+            self.lvp_stats.correct += 1;
+            if repeated {
+                self.lvp_stats.correct_and_repeated += 1;
+            }
+        }
+
+        // Two-delta stride half.
+        let stride_hit = if s.seen == 0 {
+            s.last = out;
+            s.stride = 0;
+            s.candidate = 0;
+            s.seen = 1;
+            false
+        } else {
+            let predicted = s.last.wrapping_add(s.stride);
+            let hit = predicted == out;
+            let new_delta = out.wrapping_sub(s.last);
+            if new_delta == s.candidate {
+                s.stride = new_delta;
+            } else {
+                s.candidate = new_delta;
+            }
+            s.last = out;
+            hit
+        };
+        if stride_hit {
+            self.stride_stats.correct += 1;
+        }
+        (lvp_hit, stride_hit)
     }
 
     /// Accumulated last-value statistics.

@@ -144,8 +144,8 @@ impl InstructionProfile {
     }
 
     /// [`InstructionProfile::fill`] from an already-materialized
-    /// per-static statistics table — the form both analysis tiers
-    /// produce, so the attribution join is shared.
+    /// per-static statistics table — the pipeline's finalize computes it
+    /// once and shares it with the loop profiler.
     pub(crate) fn fill_from_stats(&mut self, image: &Image, stats: &[crate::tracker::StaticStats]) {
         let text_base = instrep_isa::abi::TEXT_BASE;
         self.sites = stats

@@ -130,18 +130,7 @@ impl ReuseBuffer {
 
     /// Observes an instruction; returns whether it hit.
     pub fn observe(&mut self, ev: &Event, repeated: bool) -> bool {
-        self.observe_with_outcome(ev, repeated, ev.outcome())
-    }
-
-    /// [`ReuseBuffer::observe`] with the event's outcome supplied by the
-    /// caller — the fused tier computes `ev.outcome()` exactly once per
-    /// event and threads it to every consumer.
-    pub(crate) fn observe_with_outcome(
-        &mut self,
-        ev: &Event,
-        repeated: bool,
-        outcome: u32,
-    ) -> bool {
+        let outcome = ev.outcome();
         self.clock += 1;
         self.stats.total += 1;
         if repeated {

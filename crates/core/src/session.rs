@@ -60,7 +60,6 @@ use instrep_asm::Image;
 use instrep_sim::{InterpTier, SimError};
 
 use crate::cache::{encode_report, AnalysisCache, CacheKey};
-use crate::fused::{AnalysisTier, SplitObservers};
 use crate::interval::IntervalSampler;
 use crate::loops::LoopProfiler;
 use crate::metrics::{PhaseTimer, WorkloadMetrics};
@@ -108,8 +107,18 @@ pub struct Session<'t> {
     telemetry: Option<&'t TelemetryRegistry>,
     verify: bool,
     tier: InterpTier,
-    analysis: AnalysisTier,
-    observers: SplitObservers,
+}
+
+/// The analysis implementation a [`Session`] runs. There is one: the
+/// seven observers of `core::pipeline`.
+///
+/// Kept only because `benchmark/` still names it; it goes with the next
+/// change to the benchmark.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub enum AnalysisTier {
+    /// The seven observers (the only tier).
+    #[default]
+    Split,
 }
 
 impl<'t> Session<'t> {
@@ -127,8 +136,6 @@ impl<'t> Session<'t> {
             telemetry: None,
             verify: false,
             tier: InterpTier::default(),
-            analysis: AnalysisTier::default(),
-            observers: SplitObservers::all(),
         }
     }
 
@@ -142,24 +149,12 @@ impl<'t> Session<'t> {
         self
     }
 
-    /// Analysis tier computing the report ([`AnalysisTier::default`]
-    /// unless overridden): the fused per-event hot row, or the seven
-    /// free-standing observers kept as its differential oracle. Tiers
-    /// produce byte-identical results, so reports — and
-    /// [cache](Session::cache) keys — never depend on this choice.
-    pub fn analysis(mut self, tier: AnalysisTier) -> Session<'t> {
-        self.analysis = tier;
-        self
-    }
-
-    /// Restrict the split tier to a subset of its observers — the
-    /// mechanism behind `--disable-observer`, which `scripts/bench.sh`
-    /// uses to measure each observer's marginal per-event cost. A
-    /// partial mask produces a report with the disabled observers'
-    /// sections zeroed, so such runs bypass the cache. Ignored by the
-    /// fused tier (which has no per-observer seams).
-    pub fn split_observers(mut self, observers: SplitObservers) -> Session<'t> {
-        self.observers = observers;
+    /// Selects the analysis tier: a no-op, as [`AnalysisTier`] has one
+    /// variant.
+    ///
+    /// Kept only because `benchmark/` still calls it; it goes with the
+    /// next change to the benchmark.
+    pub fn analysis(self, _tier: AnalysisTier) -> Session<'t> {
         self
     }
 
@@ -258,19 +253,11 @@ impl<'t> Session<'t> {
             telemetry,
             verify,
             tier,
-            analysis,
-            observers,
         } = self;
         // Entries store only the report; serving a hit that silently
         // dropped a requested time series or profile would be wrong, so
-        // those probe sets bypass the cache entirely. So does a partial
-        // observer mask: its zeroed report must neither be stored under
-        // nor served for the full-analysis key.
-        let cache = if interval.is_some() || profile || loops || !observers.is_all() {
-            None
-        } else {
-            cache
-        };
+        // those probe sets bypass the cache entirely.
+        let cache = if interval.is_some() || profile || loops { None } else { cache };
         let epoch = tracer.as_ref().map(|t| t.epoch());
 
         // Telemetry handles, interned up front (one mutex pass): one
@@ -365,8 +352,6 @@ impl<'t> Session<'t> {
                 job.input,
                 &cfg,
                 tier,
-                analysis,
-                observers,
                 Probes {
                     metrics: m.as_mut(),
                     spans: lane.as_mut(),
@@ -494,15 +479,7 @@ mod tests {
         let image = small_image();
         let cfg = AnalysisConfig::default();
         let direct = {
-            let r = run_probed(
-                &image,
-                Vec::new(),
-                &cfg,
-                InterpTier::default(),
-                AnalysisTier::default(),
-                SplitObservers::all(),
-                Probes::none(),
-            );
+            let r = run_probed(&image, Vec::new(), &cfg, InterpTier::default(), Probes::none());
             format!("{:?}", r.unwrap())
         };
         for threads in [1, 2, 7] {
@@ -537,50 +514,6 @@ mod tests {
         let warm = s.run_one(&image, Vec::new()).unwrap();
         assert_eq!(warm.cache, CacheOutcome::Hit);
         assert_eq!(format!("{:?}", warm.report), format!("{:?}", fast.report));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn analysis_tiers_report_identically_and_share_cache_entries() {
-        let image = small_image();
-        let cfg = AnalysisConfig::default();
-        let fused =
-            Session::new(cfg).analysis(AnalysisTier::Fused).run_one(&image, Vec::new()).unwrap();
-        let split =
-            Session::new(cfg).analysis(AnalysisTier::Split).run_one(&image, Vec::new()).unwrap();
-        assert_eq!(format!("{:?}", fused.report), format!("{:?}", split.report));
-
-        // Cache keys are tier-invariant: an entry stored by the split
-        // oracle is a plain hit under the fused tier.
-        let (dir, cache) = tmp_cache("analysis-tier");
-        let s = Session::new(cfg).analysis(AnalysisTier::Split).cache(&cache);
-        assert_eq!(s.run_one(&image, Vec::new()).unwrap().cache, CacheOutcome::Miss);
-        let s = Session::new(cfg).analysis(AnalysisTier::Fused).cache(&cache);
-        let warm = s.run_one(&image, Vec::new()).unwrap();
-        assert_eq!(warm.cache, CacheOutcome::Hit);
-        assert_eq!(format!("{:?}", warm.report), format!("{:?}", fused.report));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn partial_observer_masks_bypass_the_cache() {
-        let (dir, cache) = tmp_cache("mask");
-        let image = small_image();
-        let cfg = AnalysisConfig::default();
-        // Prime the cache so a lookup *would* hit.
-        Session::new(cfg).cache(&cache).run_one(&image, Vec::new()).unwrap();
-
-        let mut obs = SplitObservers::all();
-        obs.disable("reuse").unwrap();
-        let s = Session::new(cfg).analysis(AnalysisTier::Split).split_observers(obs).cache(&cache);
-        let ir = s.run_one(&image, Vec::new()).unwrap();
-        assert_eq!(ir.cache, CacheOutcome::Uncached);
-        assert_eq!(ir.report.reuse.hits, 0, "disabled observer reports zeroes");
-
-        // The zeroed run must not have poisoned the full-analysis entry.
-        let warm = Session::new(cfg).cache(&cache).run_one(&image, Vec::new()).unwrap();
-        assert_eq!(warm.cache, CacheOutcome::Hit);
-        assert!(warm.report.reuse.hits > 0);
         std::fs::remove_dir_all(&dir).ok();
     }
 

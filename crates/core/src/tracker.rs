@@ -78,17 +78,6 @@ fn hash_key(in1: u32, in2: u32, outcome: u32) -> usize {
     (h >> 32) as usize
 }
 
-/// The gauge model both analysis tiers report for
-/// `tracker_table_bytes_est`: buffered instances times their split-tier
-/// slot footprint plus the split-tier per-static entry structs. The
-/// fused tier's real layout differs, but the gauge must be
-/// tier-invariant, so both tiers report this shared estimate.
-pub(crate) fn table_bytes_estimate(instances: u64, statics: usize) -> u64 {
-    let per_instance = std::mem::size_of::<Slot>() as u64;
-    let per_static = std::mem::size_of::<StaticEntry>() as u64;
-    instances * per_instance + statics as u64 * per_static
-}
-
 impl StaticEntry {
     /// Inserts a new instance known to be absent, growing at 7/8 load.
     fn insert_new(&mut self, key: InstanceKey) {
@@ -314,7 +303,9 @@ impl RepetitionTracker {
     /// slack — but monotone in the real cost, which is what a trajectory
     /// needs.
     pub fn approx_table_bytes(&self) -> u64 {
-        table_bytes_estimate(self.instances_buffered(), self.entries.len())
+        let per_instance = std::mem::size_of::<Slot>() as u64;
+        let per_static = std::mem::size_of::<StaticEntry>() as u64;
+        self.buffered * per_instance + self.entries.len() as u64 * per_static
     }
 
     /// Fraction of dynamic instructions repeated, in `[0, 1]`.

@@ -64,10 +64,9 @@ use std::time::Duration;
 use instrep_core::report::{self, Named};
 use instrep_core::{
     default_parallelism, interval, metrics, profile, steady_state_check, telemetry, AnalysisCache,
-    AnalysisConfig, AnalysisJob, AnalysisTier, CacheOutcome, HeartbeatConfig, HeartbeatSampler,
+    AnalysisConfig, AnalysisJob, CacheOutcome, HeartbeatConfig, HeartbeatSampler,
     InstructionProfile, InterpTier, IntervalWindow, LoopNestProfile, LoopsReport, MetricsReport,
-    ProfileReport, Session, SpanLane, SpanTracer, SplitObservers, TelemetryRegistry,
-    WorkloadReport,
+    ProfileReport, Session, SpanLane, SpanTracer, TelemetryRegistry, WorkloadReport,
 };
 use instrep_workloads::{all, Scale, Workload};
 
@@ -81,8 +80,6 @@ struct Options {
     only: Option<String>,
     jobs: usize,
     interp: InterpTier,
-    analysis: AnalysisTier,
-    observers: SplitObservers,
     tables: Vec<u32>,
     figures: Vec<u32>,
     steady: bool,
@@ -211,22 +208,13 @@ const FLAGS: &[FlagSpec] = &[
         name: "--analysis",
         alias: None,
         value: Some(("TIER", "--analysis needs a tier")),
-        help: "analysis tier: fused (hot row) or split (oracle) (default: fused)",
-        apply: |o, v| {
-            o.analysis = match v {
-                "fused" => AnalysisTier::Fused,
-                "split" => AnalysisTier::Split,
-                other => return Err(format!("unknown analysis tier `{other}`")),
-            };
-            Ok(())
+        help: "analysis tier: split, the only one (default: split)",
+        // Kept only because `benchmark/` still passes `--analysis split`;
+        // it goes with the next change to the benchmark.
+        apply: |_, v| match v {
+            "split" => Ok(()),
+            other => Err(format!("unknown analysis tier `{other}`")),
         },
-    },
-    FlagSpec {
-        name: "--disable-observer",
-        alias: None,
-        value: Some(("NAME", "--disable-observer needs an observer name")),
-        help: "drop one split-tier observer (repeatable; needs --analysis split)",
-        apply: |o, v| o.observers.disable(v),
     },
     FlagSpec {
         name: "--table",
@@ -535,11 +523,6 @@ const RULES: &[Rule] = &[
         message: "--cache-verify requires --cache-dir",
     },
     Rule {
-        broken: |o| o.observers != SplitObservers::all() && o.analysis != AnalysisTier::Split,
-        message: "--disable-observer requires --analysis split \
-                  (the fused tier has no per-observer seams)",
-    },
-    Rule {
         broken: |o| o.heartbeat_out.is_some() != o.heartbeat_ms.is_some(),
         message: "--heartbeat-out and --heartbeat-ms must be given together",
     },
@@ -581,8 +564,6 @@ fn parse_args() -> Result<Options, String> {
         only: None,
         jobs: default_parallelism(),
         interp: InterpTier::default(),
-        analysis: AnalysisTier::default(),
-        observers: SplitObservers::all(),
         tables: Vec::new(),
         figures: Vec::new(),
         steady: false,
@@ -784,12 +765,7 @@ fn main() -> ExitCode {
         // and the cache memoizes without perturbing, so every flag
         // combination prints identical tables.
         let span = main_lane.as_mut().map(|l| l.begin());
-        let mut session = Session::new(cfg)
-            .jobs(threads)
-            .interp(opts.interp)
-            .analysis(opts.analysis)
-            .split_observers(opts.observers)
-            .metrics(want_metrics);
+        let mut session = Session::new(cfg).jobs(threads).interp(opts.interp).metrics(want_metrics);
         if let Some(n) = opts.interval {
             session = session.interval(n);
         }
@@ -989,10 +965,7 @@ fn main() -> ExitCode {
         println!("{:<12}{:>14}{:>14}{:>10}", "bench", "seed A", "seed B", "delta");
         for ((wl, image), (_, r)) in workloads.iter().zip(&images).zip(&reports) {
             let alt = wl.input(opts.scale, opts.seed.wrapping_add(7919));
-            let mut session = Session::new(cfg)
-                .interp(opts.interp)
-                .analysis(opts.analysis)
-                .split_observers(opts.observers);
+            let mut session = Session::new(cfg).interp(opts.interp);
             if let Some(c) = cache.as_ref() {
                 session = session.cache(c).cache_verify(opts.cache_verify);
             }

@@ -288,38 +288,37 @@ Instruction Repetition\" over the ten SPEC-'95-like workloads.
 With no table or figure selection, everything is printed.
 
 options:
-  --scale SCALE            measurement scale: tiny, small, or full (default: small)
-  --seed N                 workload input seed (default: 1998)
-  --only BENCH             analyze one benchmark (see --list)
-  --jobs N                 worker threads (default: available parallelism)
-  --interp TIER            interpreter tier: fast (predecoded) or legacy (default: fast)
-  --analysis TIER          analysis tier: fused (hot row) or split (oracle) (default: fused)
-  --disable-observer NAME  drop one split-tier observer (repeatable; needs --analysis split)
-  --table N                print table N (repeatable)
-  --figure N               print figure N (repeatable)
-  --steady-state           run the steady-state check (paper \u{a7}3)
-  --input-check            run the input-sensitivity check (paper \u{a7}3)
-  --csv PREFIX             write PREFIX_summary.csv and PREFIX_breakdowns.csv
-  --metrics-out PATH       write the phase/throughput metrics JSON to PATH
-  --bench N                repeat the analysis N times, summarize into --metrics-out
-  --trace-out PATH         write a Chrome trace-event JSON document to PATH
-  --interval N             sample each measurement every N instructions
-  --interval-out PATH      write the interval series as JSONL to PATH
-  --profile-out PATH       write the per-PC repetition profile JSON to PATH
-  --profile-folded PATH    write flamegraph-ready collapsed stacks to PATH
-  --loops-out PATH         write the loop-nest repetition profile JSON to PATH
-  --loops-folded PATH      write loop-nest collapsed stacks to PATH
-  --annotate BENCH         print BENCH's source annotated with repetition counts
-  --top N                  hot sites listed per profile output (default: 10)
-  --cache-dir PATH         memoize analysis results in a cache at PATH
-  --cache-verify           recompute cache hits and fail on any mismatch
-  --heartbeat-out PATH     stream live telemetry heartbeats as JSONL to PATH
-  --heartbeat-ms N         wall-clock heartbeat period in milliseconds
-  --telemetry-out PATH     write Prometheus-style telemetry exposition to PATH at exit
-  --progress               live single-line progress on stderr (TTY only)
-  --all                    print every table and figure (the default)
-  --list                   list the benchmarks and their SPEC analogs
-  --help                   print this help (also -h)
+  --scale SCALE          measurement scale: tiny, small, or full (default: small)
+  --seed N               workload input seed (default: 1998)
+  --only BENCH           analyze one benchmark (see --list)
+  --jobs N               worker threads (default: available parallelism)
+  --interp TIER          interpreter tier: fast (predecoded) or legacy (default: fast)
+  --analysis TIER        analysis tier: split, the only one (default: split)
+  --table N              print table N (repeatable)
+  --figure N             print figure N (repeatable)
+  --steady-state         run the steady-state check (paper \u{a7}3)
+  --input-check          run the input-sensitivity check (paper \u{a7}3)
+  --csv PREFIX           write PREFIX_summary.csv and PREFIX_breakdowns.csv
+  --metrics-out PATH     write the phase/throughput metrics JSON to PATH
+  --bench N              repeat the analysis N times, summarize into --metrics-out
+  --trace-out PATH       write a Chrome trace-event JSON document to PATH
+  --interval N           sample each measurement every N instructions
+  --interval-out PATH    write the interval series as JSONL to PATH
+  --profile-out PATH     write the per-PC repetition profile JSON to PATH
+  --profile-folded PATH  write flamegraph-ready collapsed stacks to PATH
+  --loops-out PATH       write the loop-nest repetition profile JSON to PATH
+  --loops-folded PATH    write loop-nest collapsed stacks to PATH
+  --annotate BENCH       print BENCH's source annotated with repetition counts
+  --top N                hot sites listed per profile output (default: 10)
+  --cache-dir PATH       memoize analysis results in a cache at PATH
+  --cache-verify         recompute cache hits and fail on any mismatch
+  --heartbeat-out PATH   stream live telemetry heartbeats as JSONL to PATH
+  --heartbeat-ms N       wall-clock heartbeat period in milliseconds
+  --telemetry-out PATH   write Prometheus-style telemetry exposition to PATH at exit
+  --progress             live single-line progress on stderr (TTY only)
+  --all                  print every table and figure (the default)
+  --list                 list the benchmarks and their SPEC analogs
+  --help                 print this help (also -h)
 ";
     let out = run(&["--help"]);
     assert!(out.status.success());
@@ -717,30 +716,18 @@ fn loops_folded_writes_collapsed_stacks() {
 }
 
 /// The loop probe must not change a byte of table stdout, and both loop
-/// outputs must be byte-identical across jobs counts and across the
-/// fused/split analysis tiers.
+/// outputs must be byte-identical across jobs counts.
 #[test]
 fn loop_outputs_are_deterministic_and_leave_stdout_identical() {
     let dir = std::env::temp_dir().join(format!("instrep-loops-ident-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let mut baselines: Option<(Vec<u8>, String, String)> = None;
-    for (jobs, tier) in [("1", "fused"), ("4", "fused"), ("1", "split"), ("4", "split")] {
-        let args = [
-            "--scale",
-            "tiny",
-            "--only",
-            "interp",
-            "--table",
-            "1",
-            "--jobs",
-            jobs,
-            "--analysis",
-            tier,
-        ];
+    for jobs in ["1", "4"] {
+        let args = ["--scale", "tiny", "--only", "interp", "--table", "1", "--jobs", jobs];
         let plain = run(&args);
         assert!(plain.status.success(), "stderr: {}", stderr_of(&plain));
-        let json = dir.join(format!("l{jobs}{tier}.json"));
-        let folded = dir.join(format!("l{jobs}{tier}.folded"));
+        let json = dir.join(format!("l{jobs}.json"));
+        let folded = dir.join(format!("l{jobs}.folded"));
         let mut probed_args = args.to_vec();
         probed_args.extend_from_slice(&[
             "--loops-out",
@@ -750,18 +737,15 @@ fn loop_outputs_are_deterministic_and_leave_stdout_identical() {
         ]);
         let probed = run(&probed_args);
         assert!(probed.status.success(), "stderr: {}", stderr_of(&probed));
-        assert_eq!(
-            plain.stdout, probed.stdout,
-            "loop probe changed stdout at --jobs {jobs} --analysis {tier}"
-        );
+        assert_eq!(plain.stdout, probed.stdout, "loop probe changed stdout at --jobs {jobs}");
         let json_text = std::fs::read_to_string(&json).unwrap();
         let folded_text = std::fs::read_to_string(&folded).unwrap();
         match &baselines {
             None => baselines = Some((plain.stdout, json_text, folded_text)),
             Some((b_plain, b_json, b_folded)) => {
-                assert_eq!(b_plain, &plain.stdout, "stdout differs (jobs {jobs}, tier {tier})");
-                assert_eq!(b_json, &json_text, "loops JSON differs (jobs {jobs}, tier {tier})");
-                assert_eq!(b_folded, &folded_text, "loop stacks differ (jobs {jobs}, tier {tier})");
+                assert_eq!(b_plain, &plain.stdout, "stdout differs (jobs {jobs})");
+                assert_eq!(b_json, &json_text, "loops JSON differs (jobs {jobs})");
+                assert_eq!(b_folded, &folded_text, "loop stacks differ (jobs {jobs})");
             }
         }
     }
@@ -1148,81 +1132,6 @@ fn unknown_analysis_tier_fails_with_message() {
     let out = run(&["--analysis"]);
     assert!(!out.status.success());
     assert!(stderr_of(&out).contains("--analysis needs a tier"), "{}", stderr_of(&out));
-}
-
-#[test]
-fn disable_observer_rejects_bad_usage() {
-    let out = run(&["--analysis", "split", "--disable-observer", "vibes"]);
-    assert!(!out.status.success());
-    let err = stderr_of(&out);
-    assert!(err.contains("unknown observer `vibes`"), "stderr: {err}");
-    assert!(err.contains("tracker"), "error lists the valid names: {err}");
-    // A partial observer set only makes sense on the split tier — but
-    // under the `split-analysis` feature the default tier *is* split,
-    // so the flag is legitimate without `--analysis split` there.
-    if cfg!(feature = "split-analysis") {
-        let out = run(&[
-            "--scale",
-            "tiny",
-            "--only",
-            "compress",
-            "--table",
-            "1",
-            "--jobs",
-            "2",
-            "--disable-observer",
-            "reuse",
-        ]);
-        assert!(out.status.success(), "stderr: {}", stderr_of(&out));
-    } else {
-        let out = run(&["--disable-observer", "reuse"]);
-        assert!(!out.status.success());
-        let err = stderr_of(&out);
-        assert!(err.contains("--disable-observer requires --analysis split"), "stderr: {err}");
-    }
-}
-
-/// The split (oracle) observers must print the same bytes as the fused
-/// hot row, at every jobs count — the acceptance bar for the fusion.
-#[test]
-fn analysis_tiers_print_byte_identical_tables() {
-    for jobs in ["1", "4"] {
-        let args = ["--scale", "tiny", "--only", "compress", "--jobs", jobs];
-        let fused = run(&args);
-        assert!(fused.status.success(), "stderr: {}", stderr_of(&fused));
-        for tier in ["fused", "split"] {
-            let mut tier_args = args.to_vec();
-            tier_args.extend_from_slice(&["--analysis", tier]);
-            let out = run(&tier_args);
-            assert!(out.status.success(), "stderr: {}", stderr_of(&out));
-            assert_eq!(
-                fused.stdout, out.stdout,
-                "--analysis {tier} changed table stdout at --jobs {jobs}"
-            );
-        }
-    }
-}
-
-/// Disabling an observer zeroes its table without perturbing the rest
-/// of the run (the mechanism bench.sh uses to price each observer).
-#[test]
-fn disable_observer_runs_and_zeroes_its_section() {
-    let out = run(&[
-        "--scale",
-        "tiny",
-        "--only",
-        "compress",
-        "--table",
-        "10",
-        "--analysis",
-        "split",
-        "--disable-observer",
-        "reuse",
-    ]);
-    assert!(out.status.success(), "stderr: {}", stderr_of(&out));
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("Table 10"), "stdout: {stdout}");
-    assert!(stdout.contains(" 0.0"), "reuse rates zeroed: {stdout}");
 }
 
 #[test]

@@ -236,7 +236,7 @@ fn graceful_shutdown_drains_in_flight_work() {
     std::thread::sleep(Duration::from_millis(100)); // worker picked it up
     server.shutdown();
 
-    // A request arriving during the drain is refused: answered
+    // A request arriving during the drain is turned away: answered
     // `shutting_down`, or the connection is closed if the drain poll
     // wins the race.
     late.send_line(&Request::raw_source(9, FAST_SOURCE).encode());

@@ -18,7 +18,7 @@
 //!
 //! Superinstruction fusion (folding minicc's prologue/epilogue/gp-load
 //! shapes into one handler) was considered and rejected: the observer
-//! contract requires one `Event` per retired instruction, so a fused
+//! contract requires one `Event` per retired instruction, so a combined
 //! handler still has to materialize every constituent event — all it
 //! can save is the dispatch branch, which is a few percent of the loop
 //! and not worth a second code path.
@@ -35,25 +35,14 @@ use crate::machine::{Machine, RunOutcome};
 /// Both tiers produce identical event streams and traps — reports built
 /// on them are tier-invariant by construction, so nothing downstream
 /// (analysis caches included) may key on the tier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum InterpTier {
     /// The predecoded fast tier (the default): one-time lowering to
     /// [`PreOp`]s plus a flat match-on-handler dispatch loop.
+    #[default]
     Predecoded,
     /// The original one-`step()`-per-instruction oracle loop.
     Legacy,
-}
-
-impl Default for InterpTier {
-    /// [`InterpTier::Predecoded`], unless the `legacy-interp` cargo
-    /// feature flips the build-wide default for differential debugging.
-    fn default() -> InterpTier {
-        if cfg!(feature = "legacy-interp") {
-            InterpTier::Legacy
-        } else {
-            InterpTier::Predecoded
-        }
-    }
 }
 
 /// One resolved text word. 12 bytes; the whole predecoded text of a

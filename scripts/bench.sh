@@ -6,17 +6,11 @@
 # file: successive entries across PRs chart the pipeline's throughput
 # over time (see DESIGN.md for the schema and methodology).
 #
-# Besides the per-scale summaries the document carries one
-# `observer-costs` entry: the split (oracle) tier re-run at OBS_SCALE
-# with each of the seven observers disabled in turn, and the marginal
-# ns/event each observer costs derived from the deltas. Skip the sweep
-# with OBS_SWEEP=0 when only the trajectory numbers are wanted.
-#
-# A `loops-cost` entry prices the loop-nest profiler the same way: each
-# pass runs the pipeline back to back with the loop probe off and on
-# (plain runs, not --bench — the probe is mutually exclusive with
-# --bench), and the marginal measure-phase ns/event is the same-pass
-# delta, median across RUNS passes. Skip with LOOPS_SWEEP=0.
+# Per-layer costs (each observer, each probe) are not derived here: the
+# benchmark under benchmark/ times every layer alone on one recorded
+# trace (`core.*_ns_per_event`). Older trajectory files carry
+# subtraction-based `observer-costs` and `loops-cost` entries; --check
+# still validates them where present.
 #
 # Modes:
 #   scripts/bench.sh            run the benchmark and write BENCH_<date>.json
@@ -25,18 +19,16 @@
 #                               day must not overwrite the 'before' file)
 #   scripts/bench.sh --check    validate every committed BENCH_*.json
 #                               (schema version + kinds, and the
-#                               observer-costs fields where that entry is
-#                               present); non-zero on drift
+#                               observer-costs/loops-cost fields where
+#                               those entries are present); non-zero on
+#                               drift
 #   scripts/bench.sh --concat   merge all BENCH_*.json, ordered by file
 #                               name (dates sort chronologically), into one
 #                               bench-history document on stdout
 #
 # Tunables (env): RUNS (default 3), SCALES ("tiny small"), JOBS (4),
-# SEED (1998), OUT (first free BENCH_$(date +%F)*.json), OBS_SWEEP (1),
-# LOOPS_SWEEP (1), OBS_SCALE (tiny — shared by both cost sweeps),
-# SETTLE_MS (500 — repetition-tester settle window for the trajectory
-# runs; the cost sweeps always run back to back so same-pass deltas
-# cancel machine drift).
+# SEED (1998), OUT (first free BENCH_$(date +%F)*.json), SETTLE_MS (500 —
+# repetition-tester settle window).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -65,9 +57,6 @@ check_trajectories() {
             echo "bench schema drift: $f carries no per-scale bench summaries" >&2
             status=1
         fi
-        # Files benched since the observer sweep landed carry an
-        # observer-costs entry; where one is present its fields must be
-        # intact (older trajectory files legitimately predate it).
         # Files benched since the repetition-tester upgrade carry
         # min/max/avg beside median+IQR; where min_ms is present the
         # other two must be too (older files legitimately predate them).
@@ -81,6 +70,9 @@ check_trajectories() {
                 status=1
             fi
         fi
+        # Files benched while the subtraction sweeps existed carry
+        # observer-costs and loops-cost entries; where one is present its
+        # fields must be intact.
         if grep -q '"kind": "observer-costs",' "$f"; then
             if ! grep -q '"baseline_ns_per_event":' "$f"; then
                 echo "bench schema drift: observer-costs entry in $f lacks baseline_ns_per_event" >&2
@@ -91,9 +83,6 @@ check_trajectories() {
                 status=1
             fi
         fi
-        # Files benched since the loop-nest profiler landed carry a
-        # loops-cost entry; where one is present its fields must be
-        # intact (older files legitimately predate it).
         if grep -q '"kind": "loops-cost",' "$f"; then
             if ! grep -q '"probed_ns_per_event":' "$f"; then
                 echo "bench schema drift: loops-cost entry in $f lacks probed_ns_per_event" >&2
@@ -151,9 +140,6 @@ RUNS="${RUNS:-3}"
 SCALES="${SCALES:-tiny small}"
 JOBS="${JOBS:-4}"
 SEED="${SEED:-1998}"
-OBS_SWEEP="${OBS_SWEEP:-1}"
-LOOPS_SWEEP="${LOOPS_SWEEP:-1}"
-OBS_SCALE="${OBS_SCALE:-tiny}"
 SETTLE_MS="${SETTLE_MS:-500}"
 
 # First free BENCH_<date>[b-f].json: a same-day re-bench (before/after a
@@ -186,148 +172,6 @@ for scale in $SCALES; do
         --bench "$RUNS" --metrics-out "$TMP/$scale.json" >/dev/null
 done
 
-# Per-observer marginal cost: the split (oracle) tier benched whole,
-# then once per observer with that observer disabled. The difference in
-# measure-phase ns/event is what the observer costs on top of the other
-# six — the number that says where fusion headroom is.
-#
-# One pass = the baseline plus the seven one-disabled configs, benched
-# back to back; marginals are computed *within* each pass and the
-# median across RUNS passes is reported. (Benching each config RUNS
-# times sequentially would put minutes between baseline and deltas and
-# fold this box's ±30% drift into every marginal; same-pass deltas
-# mostly cancel it.)
-if [ "$OBS_SWEEP" = 1 ]; then
-    echo "==> observer-cost sweep: split tier, scale=$OBS_SCALE passes=$RUNS jobs=$JOBS"
-    for pass in $(seq 1 "$RUNS"); do
-        INSTREP_BENCH_SETTLE_MS=0 \
-            "$BIN" --scale "$OBS_SCALE" --seed "$SEED" --jobs "$JOBS" --table 1 \
-            --analysis split --bench 1 \
-            --metrics-out "$TMP/obs-all-$pass.json" >/dev/null
-        for obs in tracker reuse global local function predict classes; do
-            INSTREP_BENCH_SETTLE_MS=0 \
-                "$BIN" --scale "$OBS_SCALE" --seed "$SEED" --jobs "$JOBS" --table 1 \
-                --analysis split --disable-observer "$obs" --bench 1 \
-                --metrics-out "$TMP/obs-no-$obs-$pass.json" >/dev/null
-        done
-        echo "==> observer-cost sweep: pass $pass/$RUNS done"
-    done
-    python3 - "$TMP" "$OBS_SCALE" "$RUNS" "$JOBS" "$SEED" >"$TMP/obs-costs.json" <<'EOF'
-import json
-import statistics
-import sys
-
-tmp, scale, runs, jobs, seed = sys.argv[1:6]
-OBSERVERS = ["tracker", "reuse", "global", "local", "function", "predict", "classes"]
-
-
-def measure_ns(path):
-    """Per-workload measure-phase ns/event from one bench summary."""
-    out = {}
-    for wl in json.load(open(path))["workloads"]:
-        for ph in wl["phases"]:
-            if ph["name"] == "measure" and ph["median_events_per_sec"] > 0:
-                out[wl["name"]] = 1e9 / ph["median_events_per_sec"]
-    return out
-
-
-passes = range(1, int(runs) + 1)
-base = [measure_ns(f"{tmp}/obs-all-{p}.json") for p in passes]
-workloads = sorted(base[0], key=list(base[0]).index)
-rows = []
-for obs in OBSERVERS:
-    without = [measure_ns(f"{tmp}/obs-no-{obs}-{p}.json") for p in passes]
-    per = {
-        w: round(statistics.median(b[w] - n[w] for b, n in zip(base, without)), 2)
-        for w in workloads
-        if all(w in n for n in without)
-    }
-    mean = round(sum(per.values()) / len(per), 2) if per else 0.0
-    rows.append(
-        {"name": obs, "mean_marginal_ns_per_event": mean, "marginal_ns_per_event": per}
-    )
-doc = {
-    "schema_version": 1,
-    "kind": "observer-costs",
-    "scale": scale,
-    "runs": int(runs),
-    "jobs": int(jobs),
-    "seed": int(seed),
-    "baseline_ns_per_event": {
-        w: round(statistics.median(b[w] for b in base), 2) for w in workloads
-    },
-    "observers": rows,
-}
-print(json.dumps(doc, indent=1))
-EOF
-fi
-
-# Loop-nest profiler cost: the pipeline run back to back with the loop
-# probe off and on, per pass. --bench refuses to combine with the loops
-# exports, so these are single plain runs; the probe-on run writes a
-# real --loops-out so the priced path is the shipping one. The marginal
-# measure-phase ns/event is computed within each pass (same reasoning
-# as the observer sweep: same-pass deltas cancel machine drift) and the
-# median across RUNS passes is reported.
-if [ "$LOOPS_SWEEP" = 1 ]; then
-    echo "==> loops-cost sweep: probe off vs on, scale=$OBS_SCALE passes=$RUNS jobs=$JOBS"
-    for pass in $(seq 1 "$RUNS"); do
-        "$BIN" --scale "$OBS_SCALE" --seed "$SEED" --jobs "$JOBS" --table 1 \
-            --metrics-out "$TMP/loops-off-$pass.json" >/dev/null
-        "$BIN" --scale "$OBS_SCALE" --seed "$SEED" --jobs "$JOBS" --table 1 \
-            --loops-out "$TMP/loops-profile-$pass.json" \
-            --metrics-out "$TMP/loops-on-$pass.json" >/dev/null
-        echo "==> loops-cost sweep: pass $pass/$RUNS done"
-    done
-    python3 - "$TMP" "$OBS_SCALE" "$RUNS" "$JOBS" "$SEED" >"$TMP/loops-costs.json" <<'EOF'
-import json
-import statistics
-import sys
-
-tmp, scale, runs, jobs, seed = sys.argv[1:6]
-
-
-def measure_ns(path):
-    """Per-workload measure-phase ns/event from one plain-run metrics doc."""
-    out = {}
-    for name, wl in ((w["name"], w) for w in json.load(open(path))["workloads"]):
-        for ph in wl["phases"]:
-            if ph["name"] == "measure" and ph["events_per_sec"] > 0:
-                out[name] = 1e9 / ph["events_per_sec"]
-    return out
-
-
-passes = range(1, int(runs) + 1)
-off = [measure_ns(f"{tmp}/loops-off-{p}.json") for p in passes]
-on = [measure_ns(f"{tmp}/loops-on-{p}.json") for p in passes]
-workloads = sorted(off[0], key=list(off[0]).index)
-marginal = {
-    w: round(statistics.median(b[w] - a[w] for a, b in zip(off, on)), 2)
-    for w in workloads
-    if all(w in b for b in on)
-}
-doc = {
-    "schema_version": 1,
-    "kind": "loops-cost",
-    "scale": scale,
-    "runs": int(runs),
-    "jobs": int(jobs),
-    "seed": int(seed),
-    "baseline_ns_per_event": {
-        w: round(statistics.median(a[w] for a in off), 2) for w in workloads
-    },
-    "probed_ns_per_event": {
-        w: round(statistics.median(b[w] for b in on), 2) for w in workloads
-    },
-    "marginal_ns_per_event": marginal,
-    "mean_marginal_ns_per_event": (
-        round(sum(marginal.values()) / len(marginal), 2) if marginal else 0.0
-    ),
-}
-print(json.dumps(doc, indent=1))
-EOF
-fi
-
 {
     printf '{\n'
     printf '  "schema_version": 1,\n'
@@ -341,12 +185,6 @@ fi
         # Indent the per-scale summary; $(...) strips its trailing newline.
         printf '%s' "$(sed 's/^/    /' "$TMP/$scale.json")"
     done
-    if [ -s "$TMP/obs-costs.json" ]; then
-        printf ',\n%s' "$(sed 's/^/    /' "$TMP/obs-costs.json")"
-    fi
-    if [ -s "$TMP/loops-costs.json" ]; then
-        printf ',\n%s' "$(sed 's/^/    /' "$TMP/loops-costs.json")"
-    fi
     printf '\n  ]\n'
     printf '}\n'
 } >"$OUT"

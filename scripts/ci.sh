@@ -20,13 +20,6 @@ cargo test -q --workspace --offline
 echo "==> cargo test --features proptest (property tests, offline)"
 cargo test -q --workspace --offline --features proptest
 
-echo "==> cargo test --features split-analysis (split oracle drives every report)"
-# Flips AnalysisTier::default() to the free-standing observers, so the
-# whole tier-1 suite — golden snapshots included — re-proves the oracle
-# path end to end. (The later smoke steps rebuild the default-feature
-# binary via the golden test, so this cannot leak into them.)
-cargo test -q --workspace --offline --features split-analysis
-
 echo "==> golden snapshots (byte-for-byte table output)"
 cargo test -q -p instrep-repro --offline --test golden
 
@@ -103,7 +96,7 @@ grep -q 'source-level repetition profile' "$SMOKE_DIR/annotated.txt" || {
     exit 1
 }
 
-echo "==> loop-profiler smoke run (schema, folded hygiene, jobs/tier identity)"
+echo "==> loop-profiler smoke run (schema, folded hygiene, jobs identity)"
 target/debug/instrep-repro --scale tiny --only compress --table 1 \
     --jobs 2 --loops-out "$SMOKE_DIR/loops.json" \
     --loops-folded "$SMOKE_DIR/loops.folded" >"$SMOKE_DIR/looped.txt"
@@ -128,27 +121,16 @@ cmp -s "$SMOKE_DIR/plain.txt" "$SMOKE_DIR/looped.txt" || {
     exit 1
 }
 # The loop profile itself is part of the determinism contract: the JSON
-# must be byte-identical at every --jobs count and under the split
-# analysis tier, and neither run may move the table a byte.
+# must be byte-identical at every --jobs count, and no run may move the
+# table a byte.
 target/debug/instrep-repro --scale tiny --only compress --table 1 \
     --jobs 1 --loops-out "$SMOKE_DIR/loops-j1.json" >"$SMOKE_DIR/looped-j1.txt"
-target/debug/instrep-repro --scale tiny --only compress --table 1 \
-    --jobs 2 --analysis split --loops-out "$SMOKE_DIR/loops-split.json" \
-    >"$SMOKE_DIR/looped-split.txt"
 cmp -s "$SMOKE_DIR/plain.txt" "$SMOKE_DIR/looped-j1.txt" || {
     echo "loop profiling perturbed table stdout at --jobs 1" >&2
     exit 1
 }
-cmp -s "$SMOKE_DIR/plain.txt" "$SMOKE_DIR/looped-split.txt" || {
-    echo "loop profiling perturbed table stdout under --analysis split" >&2
-    exit 1
-}
 cmp -s "$SMOKE_DIR/loops.json" "$SMOKE_DIR/loops-j1.json" || {
     echo "loop profile differs between --jobs 2 and --jobs 1" >&2
-    exit 1
-}
-cmp -s "$SMOKE_DIR/loops.json" "$SMOKE_DIR/loops-split.json" || {
-    echo "loop profile differs between the fused and split analysis tiers" >&2
     exit 1
 }
 
@@ -228,27 +210,14 @@ grep -q 'cache verify failed for compress' "$SMOKE_DIR/verify.err" || {
     exit 1
 }
 
-echo "==> interpreter-tier differential smoke (fast vs legacy, both feature configs)"
-# The trap-corpus differential under the default feature set...
+echo "==> interpreter-tier differential smoke (fast vs legacy)"
+# The trap-corpus differential calls both loops explicitly.
 cargo test -q -p instrep-sim --offline --test differential
-# ...and again with `legacy-interp` flipping the default tier, so both
-# feature configurations keep both loops honest.
-cargo test -q -p instrep-sim --offline --features legacy-interp --test differential
 # End to end: --interp legacy must print byte-identical tables.
 target/debug/instrep-repro --scale tiny --only compress --table 1 \
-    --jobs 2 --interp legacy >"$SMOKE_DIR/legacy-interp.txt"
-cmp -s "$SMOKE_DIR/plain.txt" "$SMOKE_DIR/legacy-interp.txt" || {
+    --jobs 2 --interp legacy >"$SMOKE_DIR/interp-legacy.txt"
+cmp -s "$SMOKE_DIR/plain.txt" "$SMOKE_DIR/interp-legacy.txt" || {
     echo "--interp legacy changed table stdout (tiers diverge)" >&2
-    exit 1
-}
-
-echo "==> analysis-tier differential smoke (split oracle vs fused hot row)"
-# End to end: --analysis split must print byte-identical tables to the
-# default fused tier — the acceptance bar for the observer fusion.
-target/debug/instrep-repro --scale tiny --only compress --table 1 \
-    --jobs 2 --analysis split >"$SMOKE_DIR/split-analysis.txt"
-cmp -s "$SMOKE_DIR/plain.txt" "$SMOKE_DIR/split-analysis.txt" || {
-    echo "--analysis split changed table stdout (analysis tiers diverge)" >&2
     exit 1
 }
 
