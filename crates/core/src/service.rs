@@ -749,6 +749,13 @@ pub fn loops_json(p: &LoopNestProfile, k: usize) -> String {
 
 // --- minimal strict JSON parser ---------------------------------------
 
+/// How deeply [`Json::parse`] lets arrays and objects nest. The parser
+/// recurses once per level, so without a bound one line of `[`s far
+/// under the daemon's request cap would overflow the thread's stack and
+/// abort the whole process. Every document this workspace writes nests
+/// only a few levels.
+pub const MAX_JSON_DEPTH: usize = 64;
+
 /// A parsed JSON value. The workspace is hermetic (no serde); this
 /// covers the full JSON grammar except `\uXXXX` escapes beyond the
 /// Basic Multilingual Plane, which the canonical encoders never emit.
@@ -773,9 +780,11 @@ impl Json {
     ///
     /// # Errors
     ///
-    /// Returns a description with a byte offset for the first violation.
+    /// Returns a description with a byte offset for the first violation,
+    /// including arrays and objects nested deeper than
+    /// [`MAX_JSON_DEPTH`].
     pub fn parse(text: &str) -> Result<Json, String> {
-        let mut p = JsonParser { bytes: text.as_bytes(), pos: 0 };
+        let mut p = JsonParser { bytes: text.as_bytes(), pos: 0, depth: 0 };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -829,6 +838,8 @@ impl Json {
 struct JsonParser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl JsonParser<'_> {
@@ -853,8 +864,8 @@ impl JsonParser<'_> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.peek().ok_or("unexpected end of input")? {
-            b'{' => self.object(),
-            b'[' => self.array(),
+            b'{' => self.nested(Self::object),
+            b'[' => self.nested(Self::array),
             b'"' => Ok(Json::Str(self.string()?)),
             b't' => self.literal("true", Json::Bool(true)),
             b'f' => self.literal("false", Json::Bool(false)),
@@ -862,6 +873,21 @@ impl JsonParser<'_> {
             b'-' | b'0'..=b'9' => self.number(),
             c => Err(format!("unexpected byte `{}` at offset {}", c as char, self.pos)),
         }
+    }
+
+    /// Parses one array or object a level deeper, refusing to pass
+    /// [`MAX_JSON_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_JSON_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_JSON_DEPTH} levels at offset {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn literal(&mut self, word: &str, v: Json) -> Result<Json, String> {
@@ -1148,6 +1174,26 @@ mod tests {
         // Non-top-level keys are not extracted.
         let nested = r#"{"outer":{"report":{"x":1}}}"#;
         assert_eq!(raw_member(nested, "report"), None);
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let arrays = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        let objects = |n: usize| r#"{"a":"#.repeat(n) + "1" + &"}".repeat(n);
+        assert!(Json::parse(&arrays(MAX_JSON_DEPTH)).is_ok());
+        assert!(Json::parse(&objects(MAX_JSON_DEPTH)).is_ok());
+        for deep in [arrays(MAX_JSON_DEPTH + 1), objects(MAX_JSON_DEPTH + 1)] {
+            let e = Json::parse(&deep).unwrap_err();
+            assert!(e.contains(&format!("nesting deeper than {MAX_JSON_DEPTH} levels")), "{e}");
+        }
+        // Far past the limit and unterminated: refused at the limit, long
+        // before the recursion could reach the end of the stack.
+        let bomb = "[".repeat(200_000);
+        assert!(Json::parse(&bomb).is_err());
+        match Request::decode(&bomb) {
+            Err(RequestError::Malformed(m)) => assert!(m.contains("nesting"), "{m}"),
+            other => panic!("expected malformed, got {other:?}"),
+        }
     }
 
     #[test]

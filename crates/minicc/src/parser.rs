@@ -13,19 +13,44 @@ fn contains_struct_by_value(ty: &Type, sid: usize) -> bool {
     }
 }
 
+/// How deeply a program may nest, in levels. The parser and every later
+/// pass recurse along this nesting, so the bound keeps client source
+/// from overflowing the compiling thread's stack. One level each:
+///
+/// * the statements of a block, an `if`/`else` branch or a loop body;
+/// * a parenthesized expression, a subscript and a call argument;
+/// * the operand of a unary operator, and the operands of a binary,
+///   assignment or postfix operator, so a chain `1+1+…` of N operators
+///   is N levels deep (it is parsed in a loop but walked recursively
+///   afterwards);
+/// * each `*` of a type, and each `[N]` of an array declarator.
+///
+/// A program exactly at the limit compiles on a 2 MiB stack in a debug
+/// build with over a quarter of it to spare; the in-tree workloads nest
+/// at most 14 levels.
+pub(crate) const MAX_NESTING: usize = 100;
+
 /// Parses a token stream into a [`Program`].
 ///
 /// Struct definitions must precede their first use; functions and
 /// globals may appear in any order relative to their uses (name
 /// resolution happens in sema).
 pub fn parse(tokens: Vec<Token>) -> Result<Program, CompileError> {
-    Parser { tokens, pos: 0, program: Program::default() }.parse_program()
+    Parser { tokens, pos: 0, program: Program::default(), depth: 0, peak: 0 }.parse_program()
 }
 
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
     program: Program,
+    /// Nesting level of the construct being parsed (see [`MAX_NESTING`]).
+    depth: usize,
+    /// Deepest level the expression being built reaches. An operator
+    /// that wraps what was parsed before it (`a + b`, `a[i]`, `a = b`)
+    /// moves all of that one level down, which `depth` alone cannot see.
+    /// Each such operator's parse function tracks its own subtree (it
+    /// restarts `peak` at `depth`) and merges the result back on return.
+    peak: usize,
 }
 
 impl Parser {
@@ -51,6 +76,36 @@ impl Parser {
 
     fn err(&self, msg: impl Into<String>) -> CompileError {
         CompileError::new(self.line(), msg)
+    }
+
+    /// Records that the tree being built reaches `level`, refusing to
+    /// pass [`MAX_NESTING`].
+    fn reach(&mut self, level: usize) -> Result<(), CompileError> {
+        if level > MAX_NESTING {
+            return Err(self.too_deep());
+        }
+        self.peak = self.peak.max(level);
+        Ok(())
+    }
+
+    /// The error past [`MAX_NESTING`], kept out of line because `reach`
+    /// runs for every operator and nesting level of every program.
+    #[cold]
+    fn too_deep(&self) -> CompileError {
+        self.err(format!("nesting exceeds the limit of {MAX_NESTING} levels"))
+    }
+
+    /// Parses one construct a nesting level down. An error ends the
+    /// parse, so the level it leaves open is moot.
+    fn nested<T>(
+        &mut self,
+        parse: impl FnOnce(&mut Self) -> Result<T, CompileError>,
+    ) -> Result<T, CompileError> {
+        self.depth += 1;
+        self.reach(self.depth)?;
+        let v = parse(self)?;
+        self.depth -= 1;
+        Ok(v)
     }
 
     fn eat_punct(&mut self, p: Punct) -> bool {
@@ -133,7 +188,10 @@ impl Parser {
             }
         };
         let mut ty = base;
+        let mut levels = 0;
         while self.eat_punct(Punct::Star) {
+            levels += 1;
+            self.reach(self.depth + levels)?;
             ty = ty.ptr_to();
         }
         Ok(ty)
@@ -149,6 +207,7 @@ impl Parser {
             }
             self.expect_punct(Punct::RBracket)?;
             dims.push(n as u32);
+            self.reach(self.depth + dims.len())?;
         }
         for &n in dims.iter().rev() {
             ty = Type::Array(Box::new(ty), n);
@@ -374,7 +433,7 @@ impl Parser {
         match self.peek().clone() {
             TokenKind::Punct(Punct::LBrace) => {
                 self.bump();
-                Ok(Stmt::Block(self.parse_block_stmts()?))
+                Ok(Stmt::Block(self.nested(Self::parse_block_stmts)?))
             }
             TokenKind::Punct(Punct::Semi) => {
                 self.bump();
@@ -385,9 +444,9 @@ impl Parser {
                 self.expect_punct(Punct::LParen)?;
                 let cond = self.parse_expr()?;
                 self.expect_punct(Punct::RParen)?;
-                let then = Box::new(self.parse_stmt()?);
+                let then = Box::new(self.nested(Self::parse_stmt)?);
                 let els = if self.eat_keyword(Keyword::Else) {
-                    Some(Box::new(self.parse_stmt()?))
+                    Some(Box::new(self.nested(Self::parse_stmt)?))
                 } else {
                     None
                 };
@@ -398,7 +457,7 @@ impl Parser {
                 self.expect_punct(Punct::LParen)?;
                 let cond = self.parse_expr()?;
                 self.expect_punct(Punct::RParen)?;
-                Ok(Stmt::While { cond, body: Box::new(self.parse_stmt()?) })
+                Ok(Stmt::While { cond, body: Box::new(self.nested(Self::parse_stmt)?) })
             }
             TokenKind::Keyword(Keyword::For) => {
                 self.bump();
@@ -421,7 +480,7 @@ impl Parser {
                     Some(self.parse_expr()?)
                 };
                 self.expect_punct(Punct::RParen)?;
-                Ok(Stmt::For { init, cond, step, body: Box::new(self.parse_stmt()?) })
+                Ok(Stmt::For { init, cond, step, body: Box::new(self.nested(Self::parse_stmt)?) })
             }
             TokenKind::Keyword(Keyword::Return) => {
                 self.bump();
@@ -473,6 +532,7 @@ impl Parser {
 
     fn parse_assign(&mut self) -> Result<Expr, CompileError> {
         let line = self.line();
+        let outer = std::mem::replace(&mut self.peak, self.depth);
         let lhs = self.parse_binary(0)?;
         let op = match self.peek() {
             TokenKind::Punct(Punct::Assign) => Some(None),
@@ -488,19 +548,22 @@ impl Parser {
             TokenKind::Punct(Punct::ShrEq) => Some(Some(BinOp::Shr)),
             _ => None,
         };
-        if let Some(op) = op {
-            self.bump();
-            let rhs = self.parse_assign()?; // right-associative
-            return Ok(Expr::new(
-                ExprKind::Assign { op, lhs: Box::new(lhs), rhs: Box::new(rhs) },
-                line,
-            ));
-        }
-        Ok(lhs)
+        let e = match op {
+            Some(op) => {
+                self.bump();
+                self.reach(self.peak + 1)?;
+                let rhs = self.nested(Self::parse_assign)?; // right-associative
+                Expr::new(ExprKind::Assign { op, lhs: Box::new(lhs), rhs: Box::new(rhs) }, line)
+            }
+            None => lhs,
+        };
+        self.peak = self.peak.max(outer);
+        Ok(e)
     }
 
     /// Precedence-climbing binary expression parser.
     fn parse_binary(&mut self, min_prec: u8) -> Result<Expr, CompileError> {
+        let outer = std::mem::replace(&mut self.peak, self.depth);
         let mut lhs = self.parse_unary()?;
         loop {
             let (op, prec) = match self.peek() {
@@ -529,9 +592,11 @@ impl Parser {
             }
             let line = self.line();
             self.bump();
-            let rhs = self.parse_binary(prec + 1)?;
+            self.reach(self.peak + 1)?;
+            let rhs = self.nested(|p| p.parse_binary(prec + 1))?;
             lhs = Expr::new(ExprKind::Binary(op, Box::new(lhs), Box::new(rhs)), line);
         }
+        self.peak = self.peak.max(outer);
         Ok(lhs)
     }
 
@@ -545,7 +610,7 @@ impl Parser {
             TokenKind::Punct(Punct::Amp) => Some(UnOp::Addr),
             TokenKind::Punct(Punct::PlusPlus) => {
                 self.bump();
-                let target = self.parse_unary()?;
+                let target = self.nested(Self::parse_unary)?;
                 return Ok(Expr::new(
                     ExprKind::IncDec { pre: true, inc: true, target: Box::new(target) },
                     line,
@@ -553,7 +618,7 @@ impl Parser {
             }
             TokenKind::Punct(Punct::MinusMinus) => {
                 self.bump();
-                let target = self.parse_unary()?;
+                let target = self.nested(Self::parse_unary)?;
                 return Ok(Expr::new(
                     ExprKind::IncDec { pre: true, inc: false, target: Box::new(target) },
                     line,
@@ -563,20 +628,33 @@ impl Parser {
         };
         if let Some(op) = op {
             self.bump();
-            let operand = self.parse_unary()?;
+            let operand = self.nested(Self::parse_unary)?;
             return Ok(Expr::new(ExprKind::Unary(op, Box::new(operand)), line));
         }
         self.parse_postfix()
     }
 
     fn parse_postfix(&mut self) -> Result<Expr, CompileError> {
+        let outer = std::mem::replace(&mut self.peak, self.depth);
         let mut e = self.parse_primary()?;
         loop {
             let line = self.line();
+            if matches!(
+                self.peek(),
+                TokenKind::Punct(
+                    Punct::LBracket
+                        | Punct::Dot
+                        | Punct::Arrow
+                        | Punct::PlusPlus
+                        | Punct::MinusMinus
+                )
+            ) {
+                self.reach(self.peak + 1)?;
+            }
             match self.peek() {
                 TokenKind::Punct(Punct::LBracket) => {
                     self.bump();
-                    let idx = self.parse_expr()?;
+                    let idx = self.nested(Self::parse_expr)?;
                     self.expect_punct(Punct::RBracket)?;
                     e = Expr::new(ExprKind::Index(Box::new(e), Box::new(idx)), line);
                 }
@@ -610,6 +688,7 @@ impl Parser {
                 _ => break,
             }
         }
+        self.peak = self.peak.max(outer);
         Ok(e)
     }
 
@@ -637,7 +716,7 @@ impl Parser {
                     let mut args = Vec::new();
                     if !self.eat_punct(Punct::RParen) {
                         loop {
-                            args.push(self.parse_expr()?);
+                            args.push(self.nested(Self::parse_expr)?);
                             if !self.eat_punct(Punct::Comma) {
                                 break;
                             }
@@ -650,7 +729,7 @@ impl Parser {
                 }
             }
             TokenKind::Punct(Punct::LParen) => {
-                let e = self.parse_expr()?;
+                let e = self.nested(Self::parse_expr)?;
                 self.expect_punct(Punct::RParen)?;
                 Ok(e)
             }
@@ -792,6 +871,53 @@ mod tests {
         assert!(parse_src("int t[0];").is_err());
         assert!(parse_src("int g = {1};").is_err()); // brace init on scalar
         assert!(parse_src("int f() { return x(1,; }").is_err());
+    }
+
+    /// A program in each shape whose deepest point is exactly `n` levels
+    /// down. `wrapped` reaches its depth only because operators after
+    /// the deep operand wrap it.
+    fn nested_programs(n: usize) -> [(&'static str, String); 6] {
+        let (left, right) = ("{".repeat(n), "}".repeat(n));
+        [
+            ("blocks", format!("int main() {{ {left}{right} return 0; }}")),
+            ("parens", format!("int main() {{ return {}1{}; }}", "(".repeat(n), ")".repeat(n))),
+            ("chain", format!("int main() {{ return 1{}; }}", "+1".repeat(n))),
+            (
+                "wrapped",
+                format!(
+                    "int main() {{ return 1+{}1{}; }}",
+                    "~".repeat(n / 2),
+                    "+1".repeat(n - n / 2 - 1)
+                ),
+            ),
+            ("pointer", format!("int main() {{ int {}p; return 0; }}", "*".repeat(n))),
+            ("array", format!("int main() {{ int a{}; return 0; }}", "[1]".repeat(n))),
+        ]
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        // A daemon worker compiles client source on a 2 MiB stack, and
+        // the tests may run in a debug build, whose frames are largest.
+        let limit = format!("nesting exceeds the limit of {MAX_NESTING} levels");
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || {
+                for (shape, src) in nested_programs(MAX_NESTING) {
+                    if let Err(e) = crate::build(&src) {
+                        panic!("{shape} at the limit: {e}");
+                    }
+                }
+                for (shape, src) in nested_programs(MAX_NESTING + 1) {
+                    match parse_src(&src) {
+                        Ok(_) => panic!("{shape} past the limit was accepted"),
+                        Err(e) => assert_eq!(e.message(), limit, "{shape}"),
+                    }
+                }
+            })
+            .unwrap()
+            .join()
+            .unwrap();
     }
 
     #[test]

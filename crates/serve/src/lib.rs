@@ -37,13 +37,15 @@
 //! * **Graceful shutdown.** [`Server::shutdown`] (the binary wires
 //!   SIGTERM/ctrl-C to it) stops accepting work, answers late arrivals
 //!   with `shutting_down`, drains everything already queued or running,
-//!   and then exits.
+//!   and then exits. Nothing polls: the accept loop and every connection
+//!   thread block in `accept`/`read`, and shutdown wakes them.
 //!
 //! The crate is a library so tests (and embedders) can run the server
 //! in-process; `src/main.rs` is a thin CLI over [`Server::start`].
 
 use std::collections::HashMap;
 use std::io::{ErrorKind as IoErrorKind, Read, Write};
+use std::net::Shutdown;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -69,9 +71,10 @@ pub const RETRY_AFTER_MS: u64 = 50;
 /// Everything [`Server::start`] needs to know.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Path of the Unix domain socket to listen on. An existing socket
-    /// file at this path is removed first (stale from a crash); the
-    /// file is removed again on [`Server::join`].
+    /// Path of the Unix domain socket to listen on. A stale socket file
+    /// here (one nothing listens on, left by a crash) is replaced; a
+    /// live daemon's socket is refused. The file is removed again on
+    /// [`Server::join`].
     pub socket: PathBuf,
     /// Worker threads running analyses (minimum 1).
     pub workers: usize,
@@ -187,7 +190,8 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// Propagates socket-bind and cache-open failures.
+    /// `AddrInUse` when another daemon is listening on the socket path;
+    /// otherwise propagates socket-bind and cache-open failures.
     pub fn start(cfg: ServeConfig, registry: Arc<TelemetryRegistry>) -> std::io::Result<Server> {
         let cache = match &cfg.cache_dir {
             Some(dir) => {
@@ -197,12 +201,8 @@ impl Server {
             }
             None => None,
         };
-        // A stale socket file from a crashed run would fail the bind.
-        if cfg.socket.exists() {
-            std::fs::remove_file(&cfg.socket)?;
-        }
+        claim_socket_path(&cfg.socket)?;
         let listener = UnixListener::bind(&cfg.socket)?;
-        listener.set_nonblocking(true)?;
 
         let shutdown = Arc::new(AtomicBool::new(false));
         let tel = ServeTelemetry::new(&registry);
@@ -242,8 +242,17 @@ impl Server {
     /// Begins a graceful shutdown: stop accepting connections, answer
     /// new requests with `shutting_down`, drain everything already
     /// queued or running. Returns immediately; [`Server::join`] waits.
+    ///
+    /// The accept loop is blocked in `accept`, so the first call wakes
+    /// it with one connection to the socket path, which it drops
+    /// uncounted. The path must therefore still name this daemon's
+    /// socket: if the file was deleted, nothing wakes the loop and
+    /// [`Server::join`] blocks.
     pub fn shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
+        if !self.shutdown.swap(true, Ordering::SeqCst) {
+            // A failed connect leaves nothing else to try; see above.
+            let _ = UnixStream::connect(&self.socket);
+        }
     }
 
     /// Waits for the accept loop, every connection, and every worker to
@@ -269,34 +278,63 @@ impl Server {
     }
 }
 
-/// Accepts connections until shutdown, then joins the connection
-/// threads it spawned. Holds the queue's only original sender, so once
-/// this returns (and every connection thread with a clone has exited)
-/// the workers see a disconnected queue and drain out.
+/// Makes `path` free to bind. A socket file nothing listens on (left by
+/// a crashed run) is removed, but a live daemon's socket is refused:
+/// replacing it would leave that daemon running unreachable, its
+/// shutdown wake would land on the new listener, and its
+/// [`Server::join`] would delete the new daemon's file.
+fn claim_socket_path(path: &Path) -> std::io::Result<()> {
+    match UnixStream::connect(path) {
+        Ok(_) => Err(std::io::Error::new(
+            IoErrorKind::AddrInUse,
+            format!("another daemon is listening on {}", path.display()),
+        )),
+        Err(e) if e.kind() == IoErrorKind::ConnectionRefused => std::fs::remove_file(path),
+        // Nothing there: the bind creates it (or reports what is wrong).
+        Err(_) => Ok(()),
+    }
+}
+
+/// Accepts connections until shutdown, blocking in `accept` between
+/// them. Then it shuts the read half of every live connection, so an
+/// idle one sees EOF at once while lines already received are still
+/// answered and replies in flight still go out, and joins their
+/// threads. Holds the queue's only original sender, so once this
+/// returns (and every connection thread with a clone has exited) the
+/// workers see a disconnected queue and drain out.
 fn accept_loop(listener: &UnixListener, tx: SyncSender<WorkItem>, ctx: &Arc<Ctx>) {
-    let mut conns: Vec<JoinHandle<()>> = Vec::new();
-    while !ctx.shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
+    // Each live connection's thread, and a handle on its socket for the
+    // drain.
+    let mut conns: Vec<(JoinHandle<()>, UnixStream)> = Vec::new();
+    loop {
+        let accepted = listener.accept();
+        // `Server::shutdown` sets the flag before its wake connection
+        // arrives; that connection (or a client racing it) is dropped.
+        if ctx.shutdown.load(Ordering::SeqCst) {
+            break;
+        }
+        match accepted.and_then(|(stream, _)| Ok((stream.try_clone()?, stream))) {
+            Ok((handle, stream)) => {
                 ctx.tel.connections.inc();
                 let tx = tx.clone();
                 let ctx = Arc::clone(ctx);
-                conns.push(std::thread::spawn(move || handle_connection(stream, &tx, &ctx)));
-            }
-            Err(e) if e.kind() == IoErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(20));
+                let thread = std::thread::spawn(move || handle_connection(&stream, &tx, &ctx));
+                conns.push((thread, handle));
             }
             // Accept errors are transient (EMFILE, aborted handshake):
             // back off and keep serving rather than killing the daemon.
             Err(_) => std::thread::sleep(Duration::from_millis(20)),
         }
-        // Reap finished connection threads so a long-lived daemon does
-        // not accumulate handles.
-        conns.retain(|h| !h.is_finished());
+        // Reap finished connections so a long-lived daemon does not
+        // accumulate thread handles and sockets.
+        conns.retain(|(thread, _)| !thread.is_finished());
     }
     drop(tx);
-    for h in conns {
-        let _ = h.join();
+    for (_, stream) in &conns {
+        stream.shutdown(Shutdown::Read).ok();
+    }
+    for (thread, _) in conns {
+        let _ = thread.join();
     }
 }
 
@@ -307,15 +345,14 @@ enum LineOutcome {
     /// The line exceeded the size cap; its bytes through the newline
     /// were discarded and the connection can continue.
     Oversized,
-    /// Peer closed the connection.
+    /// Peer closed the connection, or the daemon shut its read half.
     Closed,
-    /// The daemon is shutting down.
-    Shutdown,
 }
 
-/// Reads one newline-terminated line into `buf`-carried state, honoring
-/// the size cap and polling the shutdown flag between read timeouts.
-fn read_line(stream: &mut UnixStream, carry: &mut Vec<u8>, ctx: &Ctx) -> LineOutcome {
+/// Reads one newline-terminated line, keeping any bytes after it in
+/// `carry` for the next call and discarding a line longer than
+/// `max_bytes`. Blocks until a line, EOF or an error.
+fn read_line(mut stream: &UnixStream, carry: &mut Vec<u8>, max_bytes: usize) -> LineOutcome {
     let mut discarding = false;
     let mut chunk = [0u8; 4096];
     loop {
@@ -332,7 +369,7 @@ fn read_line(stream: &mut UnixStream, carry: &mut Vec<u8>, ctx: &Ctx) -> LineOut
             }
             return LineOutcome::Line(line);
         }
-        if !discarding && carry.len() > ctx.max_request_bytes {
+        if !discarding && carry.len() > max_bytes {
             // Too long without a newline: switch to discard mode and
             // keep consuming until the line ends.
             discarding = true;
@@ -343,11 +380,6 @@ fn read_line(stream: &mut UnixStream, carry: &mut Vec<u8>, ctx: &Ctx) -> LineOut
         match stream.read(&mut chunk) {
             Ok(0) => return LineOutcome::Closed,
             Ok(n) => carry.extend_from_slice(&chunk[..n]),
-            Err(e) if e.kind() == IoErrorKind::WouldBlock || e.kind() == IoErrorKind::TimedOut => {
-                if ctx.shutdown.load(Ordering::SeqCst) {
-                    return LineOutcome::Shutdown;
-                }
-            }
             Err(e) if e.kind() == IoErrorKind::Interrupted => {}
             Err(_) => return LineOutcome::Closed,
         }
@@ -355,19 +387,15 @@ fn read_line(stream: &mut UnixStream, carry: &mut Vec<u8>, ctx: &Ctx) -> LineOut
 }
 
 /// One connection: request lines in, response lines out, in order.
-fn handle_connection(mut stream: UnixStream, tx: &SyncSender<WorkItem>, ctx: &Arc<Ctx>) {
-    // Short read timeouts keep the thread responsive to shutdown; a
-    // write timeout keeps a dead client from wedging the thread.
-    stream.set_nonblocking(false).ok();
-    stream.set_read_timeout(Some(Duration::from_millis(100))).ok();
+/// Reads block with no timeout; at shutdown the accept loop shuts the
+/// read half, which ends the loop once every line already received has
+/// been answered (`shutting_down`, as the flag is set by then).
+fn handle_connection(mut stream: &UnixStream, tx: &SyncSender<WorkItem>, ctx: &Arc<Ctx>) {
+    // A write timeout keeps a dead client from wedging the thread.
     stream.set_write_timeout(Some(Duration::from_secs(10))).ok();
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    };
     let mut carry = Vec::new();
     loop {
-        let response = match read_line(&mut stream, &mut carry, ctx) {
+        let response = match read_line(stream, &mut carry, ctx.max_request_bytes) {
             LineOutcome::Line(line) => handle_request_line(&line, tx, ctx),
             LineOutcome::Oversized => {
                 ctx.tel.bad_requests.inc();
@@ -381,11 +409,11 @@ fn handle_connection(mut stream: UnixStream, tx: &SyncSender<WorkItem>, ctx: &Ar
                     retry_after_ms: None,
                 })
             }
-            LineOutcome::Closed | LineOutcome::Shutdown => return,
+            LineOutcome::Closed => return,
         };
         let mut line = response.encode();
         line.push('\n');
-        if writer.write_all(line.as_bytes()).is_err() {
+        if stream.write_all(line.as_bytes()).is_err() {
             return;
         }
     }

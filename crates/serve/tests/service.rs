@@ -1,6 +1,7 @@
 //! Behavioral tests for the daemon: protocol errors, backpressure,
-//! timeouts, cache sharing, and graceful shutdown — everything the wire
-//! contract promises beyond the happy path.
+//! timeouts, cache sharing, hostile nesting, socket ownership, connection
+//! latency, and graceful shutdown — everything the wire contract promises
+//! beyond the happy path.
 //!
 //! Timing constants assume the interpreter manages at least ~2 M
 //! instructions per second (debug profile on one core); the slow
@@ -9,7 +10,7 @@
 
 mod util;
 
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 use instrep_core::service::{ErrorKind, Request, Response};
@@ -123,6 +124,126 @@ fn protocol_errors_leave_the_connection_usable() {
 }
 
 #[test]
+fn nesting_bombs_are_bad_requests_and_the_daemon_keeps_serving() {
+    let (server, _registry) = start(ServeConfig::new(socket_path("svc-bombs")));
+    let mut c = Client::connect(server.socket());
+
+    // JSON nesting far past the parser's limit, and far under the
+    // request cap: refused while decoding, on the connection's thread.
+    c.send_line(&"[".repeat(100_000));
+    match Response::decode(&c.recv_line().unwrap()).unwrap() {
+        Response::Error(e) => {
+            assert_eq!(e.kind, ErrorKind::BadRequest);
+            assert!(e.message.contains("nesting deeper than"), "{}", e.message);
+        }
+        other => panic!("expected bad_request, got {other:?}"),
+    }
+
+    // MiniC nesting past the compiler's limit, compiled on a worker:
+    // blocks, parentheses, and a left-deep operator chain.
+    let sources = [
+        format!("int main() {{ {}{} return 0; }}", "{".repeat(3_000), "}".repeat(3_000)),
+        format!("int main() {{ return {}1{}; }}", "(".repeat(20_000), ")".repeat(20_000)),
+        format!("int main() {{ return 1{}; }}", "+1".repeat(49_999)),
+    ];
+    for (id, src) in (10..).zip(&sources) {
+        match c.roundtrip(&Request::raw_source(id, src)) {
+            Response::Error(e) => {
+                assert_eq!((e.id, e.kind), (id, ErrorKind::BadRequest));
+                assert!(e.message.contains("nesting exceeds the limit"), "{}", e.message);
+            }
+            other => panic!("expected bad_request, got {other:?}"),
+        }
+    }
+
+    // The same connection and the worker pool still serve.
+    match c.roundtrip(&Request::raw_source(20, FAST_SOURCE)) {
+        Response::Report(p) => assert_eq!(p.id, 20),
+        other => panic!("expected report, got {other:?}"),
+    }
+    stop(server);
+}
+
+#[test]
+fn refuses_a_live_socket_and_replaces_a_stale_one() {
+    let (server, _registry) = start(ServeConfig::new(socket_path("svc-live")));
+    let second =
+        Server::start(ServeConfig::new(server.socket()), Arc::new(TelemetryRegistry::new()));
+    match second {
+        Ok(_) => panic!("a second daemon took over a live socket"),
+        Err(e) => {
+            assert_eq!(e.kind(), std::io::ErrorKind::AddrInUse);
+            assert!(e.to_string().contains("another daemon is listening on"), "{e}");
+        }
+    }
+    // The first daemon still owns its socket.
+    match Client::connect(server.socket()).roundtrip(&Request::raw_source(1, FAST_SOURCE)) {
+        Response::Report(p) => assert_eq!(p.id, 1),
+        other => panic!("expected report, got {other:?}"),
+    }
+    stop(server);
+
+    // A socket file nothing listens on any more is stale: replaced.
+    let stale = socket_path("svc-stale");
+    drop(std::os::unix::net::UnixListener::bind(&stale).unwrap());
+    assert!(stale.exists());
+    let (server, _registry) = start(ServeConfig::new(&stale));
+    match Client::connect(server.socket()).roundtrip(&Request::raw_source(2, FAST_SOURCE)) {
+        Response::Report(p) => assert_eq!(p.id, 2),
+        other => panic!("expected report, got {other:?}"),
+    }
+    stop(server);
+}
+
+#[test]
+fn fresh_connections_wait_for_no_poll() {
+    let (server, _registry) = start(ServeConfig::new(socket_path("svc-connect")));
+    // A malformed line is answered without a worker, so each round trip
+    // is connection set-up plus one read and one write. A daemon that
+    // polls for new connections adds its poll period to every trip.
+    let started = Instant::now();
+    for _ in 0..40 {
+        let mut c = Client::connect(server.socket());
+        c.send_line("not json");
+        assert!(c.recv_line().unwrap().contains("bad_request"));
+    }
+    let elapsed = started.elapsed();
+    assert!(elapsed < Duration::from_millis(400), "40 fresh connections took {elapsed:?}");
+    stop(server);
+}
+
+#[test]
+fn shutdown_ends_idle_connections_promptly() {
+    let (server, registry) = start(ServeConfig::new(socket_path("svc-idle")));
+    // Each client's first round trip proves it was accepted; then it
+    // sits idle, its connection thread blocked in `read`.
+    let mut idle: Vec<Client> = (0..3)
+        .map(|_| {
+            let mut c = Client::connect(server.socket());
+            c.send_line("not json");
+            assert!(c.recv_line().unwrap().contains("bad_request"));
+            c
+        })
+        .collect();
+
+    let (done_tx, done_rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        server.shutdown();
+        done_tx.send(server.join()).unwrap();
+    });
+    match done_rx.recv_timeout(Duration::from_secs(5)) {
+        Ok(joined) => joined.unwrap(),
+        Err(_) => panic!("shutdown with idle connections open did not finish within 5 s"),
+    }
+    for c in &mut idle {
+        assert_eq!(c.recv_line(), None, "an idle connection is closed by the drain");
+    }
+    // Shutdown's wake connection is not a client connection.
+    let text = render_prometheus(&registry.snapshot());
+    assert!(text.contains("instrep_serve_connections 3\n"), "{text}");
+}
+
+#[test]
 fn full_queue_answers_overloaded_with_retry_hint() {
     let mut cfg = ServeConfig::new(socket_path("svc-queue"));
     cfg.workers = 1;
@@ -231,26 +352,40 @@ fn graceful_shutdown_drains_in_flight_work() {
 
     let inflight = {
         let socket = socket.clone();
-        std::thread::spawn(move || Client::connect(&socket).roundtrip(&slow(1, 5_000_000)))
+        std::thread::spawn(move || {
+            let mut c = Client::connect(&socket);
+            // The second line reaches the daemon before the drain but is
+            // read only after the first is answered.
+            c.send_line(&slow(1, 5_000_000).encode());
+            c.send_line(&Request::raw_source(2, FAST_SOURCE).encode());
+            let mut replies = || c.recv_line().map(|l| Response::decode(&l).unwrap());
+            (replies(), replies(), replies())
+        })
     };
     std::thread::sleep(Duration::from_millis(100)); // worker picked it up
     server.shutdown();
 
     // A request arriving during the drain is turned away: answered
-    // `shutting_down`, or the connection is closed if the drain poll
-    // wins the race.
-    late.send_line(&Request::raw_source(9, FAST_SOURCE).encode());
-    if let Some(line) = late.recv_line() {
-        match Response::decode(&line).unwrap() {
-            Response::Error(e) => assert_eq!(e.kind, ErrorKind::ShuttingDown),
-            other => panic!("expected shutting_down, got {other:?}"),
+    // `shutting_down`, or refused outright if the drain has already shut
+    // the connection's read half.
+    if late.try_send_line(&Request::raw_source(9, FAST_SOURCE).encode()).is_ok() {
+        if let Some(line) = late.recv_line() {
+            match Response::decode(&line).unwrap() {
+                Response::Error(e) => assert_eq!(e.kind, ErrorKind::ShuttingDown),
+                other => panic!("expected shutting_down, got {other:?}"),
+            }
         }
     }
 
-    // The in-flight request is drained, not dropped.
+    // The in-flight request is drained, not dropped; the line already
+    // received behind it is answered, not cut off; then the connection
+    // ends.
     match inflight.join().unwrap() {
-        Response::Report(p) => assert_eq!(p.id, 1),
-        other => panic!("expected drained report, got {other:?}"),
+        (Some(Response::Report(p)), Some(Response::Error(e)), None) => {
+            assert_eq!(p.id, 1);
+            assert_eq!((e.id, e.kind), (2, ErrorKind::ShuttingDown));
+        }
+        other => panic!("expected a drained report, then shutting_down, then EOF; got {other:?}"),
     }
 
     server.join().unwrap();

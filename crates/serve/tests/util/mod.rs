@@ -57,8 +57,13 @@ impl Client {
     }
 
     pub fn send_line(&mut self, line: &str) {
-        self.stream.write_all(line.as_bytes()).unwrap();
-        self.stream.write_all(b"\n").unwrap();
+        self.try_send_line(line).unwrap();
+    }
+
+    /// Sends one line; fails once the server has stopped reading.
+    pub fn try_send_line(&mut self, line: &str) -> std::io::Result<()> {
+        self.stream.write_all(line.as_bytes())?;
+        self.stream.write_all(b"\n")
     }
 
     /// Reads one response line; `None` means the server closed the

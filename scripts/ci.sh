@@ -278,7 +278,7 @@ cargo build -q --offline --example instrep_client
 SERVE_SOCK="$SMOKE_DIR/serve.sock"
 target/debug/instrep-serve --socket "$SERVE_SOCK" \
     --cache-dir "$SMOKE_DIR/serve-cache" --workers 1 --queue 1 \
-    --max-request-bytes 4096 --telemetry-out "$SMOKE_DIR/serve-telem.txt" \
+    --max-request-bytes 131072 --telemetry-out "$SMOKE_DIR/serve-telem.txt" \
     2>"$SMOKE_DIR/serve.log" &
 SERVE_PID=$!
 trap 'kill "$SERVE_PID" 2>/dev/null || true; rm -rf "$SMOKE_DIR"' EXIT
@@ -302,7 +302,8 @@ cmp -s "$SMOKE_DIR/serve-cold.json" "$SMOKE_DIR/serve-warm.json" || {
     exit 1
 }
 # Protocol edges over a raw socket: malformed JSON, an unknown schema
-# version (rejected by name), an oversized line, and a full queue.
+# version (rejected by name), an oversized line, a full queue, and
+# nesting bombs in the JSON and in MiniC source.
 python3 - "$SERVE_SOCK" <<'EOF'
 import json, socket, sys, time
 
@@ -338,7 +339,7 @@ assert r["ok"] is False and r["error"] == "bad_request", r
 r = ask(json.dumps({"schema_version": 99, "id": 5, "workload": "compress"}))
 assert r["ok"] is False and r["error"] == "unsupported_version", r
 assert "99" in r["message"] and "1" in r["message"], r
-r = ask(json.dumps({"schema_version": 1, "id": 6, "source": "x" * 8192}))
+r = ask(json.dumps({"schema_version": 1, "id": 6, "source": "x" * 200000}))
 assert r["ok"] is False and r["error"] == "oversized", r
 
 # Backpressure: worker busy + the one queue slot taken => reject #3
@@ -355,6 +356,17 @@ for s, rid in ((a, 1), (b, 2)):
     r = read_reply(s)
     assert r["ok"] is True and r["id"] == rid, r
     s.close()
+
+# Nesting bombs well under the line cap are refused as bad requests
+# (neither parser recurses without bound), and the daemon keeps serving.
+r = ask("[" * 100000)
+assert r["ok"] is False and r["error"] == "bad_request", r
+blocks = "int main() { " + "{" * 5000 + "}" * 5000 + " return 0; }"
+r = ask(json.dumps({"schema_version": 1, "id": 7, "source": blocks}))
+assert r["ok"] is False and r["error"] == "bad_request", r
+assert "nesting" in r["message"], r
+r = ask(json.dumps({"schema_version": 1, "id": 8, "source": "int main() { return 7; }"}))
+assert r["ok"] is True and r["id"] == 8, r
 print("service protocol smoke OK")
 EOF
 # Graceful drain: SIGTERM must exit 0 and leave the exposition behind.
