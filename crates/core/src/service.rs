@@ -754,7 +754,7 @@ pub fn loops_json(p: &LoopNestProfile, k: usize) -> String {
 /// under the daemon's request cap would overflow the thread's stack and
 /// abort the whole process. Every document this workspace writes nests
 /// only a few levels.
-pub const MAX_JSON_DEPTH: usize = 64;
+const MAX_JSON_DEPTH: usize = 64;
 
 /// A parsed JSON value. The workspace is hermetic (no serde); this
 /// covers the full JSON grammar except `\uXXXX` escapes beyond the
@@ -781,8 +781,7 @@ impl Json {
     /// # Errors
     ///
     /// Returns a description with a byte offset for the first violation,
-    /// including arrays and objects nested deeper than
-    /// [`MAX_JSON_DEPTH`].
+    /// including arrays and objects nested deeper than 64 levels.
     pub fn parse(text: &str) -> Result<Json, String> {
         let mut p = JsonParser { bytes: text.as_bytes(), pos: 0, depth: 0 };
         p.skip_ws();

@@ -875,11 +875,18 @@ mod tests {
 
     /// A program in each shape whose deepest point is exactly `n` levels
     /// down. `wrapped` reaches its depth only because operators after
-    /// the deep operand wrap it.
-    fn nested_programs(n: usize) -> [(&'static str, String); 6] {
+    /// the deep operand wrap it. `ladder` is an if/else-if chain of `n`
+    /// arms, the way MiniC (which has no `switch`) dispatches: each
+    /// `else` is a level.
+    fn nested_programs(n: usize) -> [(&'static str, String); 7] {
         let (left, right) = ("{".repeat(n), "}".repeat(n));
+        let arms: String = (1..n).map(|k| format!(" else if (x == {k}) return {k};")).collect();
         [
             ("blocks", format!("int main() {{ {left}{right} return 0; }}")),
+            (
+                "ladder",
+                format!("int main() {{ int x = 0; if (x == 0) return 0;{arms} return 0; }}"),
+            ),
             ("parens", format!("int main() {{ return {}1{}; }}", "(".repeat(n), ")".repeat(n))),
             ("chain", format!("int main() {{ return 1{}; }}", "+1".repeat(n))),
             (

@@ -46,6 +46,7 @@
 use std::collections::HashMap;
 use std::io::{ErrorKind as IoErrorKind, Read, Write};
 use std::net::Shutdown;
+use std::os::fd::OwnedFd;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -177,6 +178,10 @@ struct WorkItem {
 /// call [`Server::shutdown`] then [`Server::join`].
 pub struct Server {
     shutdown: Arc<AtomicBool>,
+    /// A second handle on the listening socket, held only to
+    /// `shutdown(2)` it; std exposes that call on `UnixStream`, not on
+    /// `UnixListener`.
+    wake: UnixStream,
     accept: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
     socket: PathBuf,
@@ -203,6 +208,7 @@ impl Server {
         };
         claim_socket_path(&cfg.socket)?;
         let listener = UnixListener::bind(&cfg.socket)?;
+        let wake = UnixStream::from(OwnedFd::from(listener.try_clone()?));
 
         let shutdown = Arc::new(AtomicBool::new(false));
         let tel = ServeTelemetry::new(&registry);
@@ -231,7 +237,7 @@ impl Server {
             std::thread::spawn(move || accept_loop(&listener, tx, &ctx))
         };
 
-        Ok(Server { shutdown, accept: Some(accept), workers, socket: cfg.socket })
+        Ok(Server { shutdown, wake, accept: Some(accept), workers, socket: cfg.socket })
     }
 
     /// The socket path the daemon is listening on.
@@ -243,16 +249,13 @@ impl Server {
     /// new requests with `shutting_down`, drain everything already
     /// queued or running. Returns immediately; [`Server::join`] waits.
     ///
-    /// The accept loop is blocked in `accept`, so the first call wakes
-    /// it with one connection to the socket path, which it drops
-    /// uncounted. The path must therefore still name this daemon's
-    /// socket: if the file was deleted, nothing wakes the loop and
-    /// [`Server::join`] blocks.
+    /// The accept loop is blocked in `accept`. Shutting the listening
+    /// socket's read side wakes it: on Linux that makes a blocked
+    /// `accept` fail, and every later one, and refuses new connects. It
+    /// needs neither the socket path nor a free file descriptor.
     pub fn shutdown(&self) {
-        if !self.shutdown.swap(true, Ordering::SeqCst) {
-            // A failed connect leaves nothing else to try; see above.
-            let _ = UnixStream::connect(&self.socket);
-        }
+        self.shutdown.store(true, Ordering::SeqCst);
+        self.wake.shutdown(Shutdown::Read).ok();
     }
 
     /// Waits for the accept loop, every connection, and every worker to
@@ -280,8 +283,7 @@ impl Server {
 
 /// Makes `path` free to bind. A socket file nothing listens on (left by
 /// a crashed run) is removed, but a live daemon's socket is refused:
-/// replacing it would leave that daemon running unreachable, its
-/// shutdown wake would land on the new listener, and its
+/// replacing it would leave that daemon running unreachable, and its
 /// [`Server::join`] would delete the new daemon's file.
 fn claim_socket_path(path: &Path) -> std::io::Result<()> {
     match UnixStream::connect(path) {
@@ -308,8 +310,8 @@ fn accept_loop(listener: &UnixListener, tx: SyncSender<WorkItem>, ctx: &Arc<Ctx>
     let mut conns: Vec<(JoinHandle<()>, UnixStream)> = Vec::new();
     loop {
         let accepted = listener.accept();
-        // `Server::shutdown` sets the flag before its wake connection
-        // arrives; that connection (or a client racing it) is dropped.
+        // `Server::shutdown` sets the flag before it wakes `accept`; a
+        // client that connected just before it is dropped uncounted.
         if ctx.shutdown.load(Ordering::SeqCst) {
             break;
         }
@@ -389,7 +391,10 @@ fn read_line(mut stream: &UnixStream, carry: &mut Vec<u8>, max_bytes: usize) -> 
 /// One connection: request lines in, response lines out, in order.
 /// Reads block with no timeout; at shutdown the accept loop shuts the
 /// read half, which ends the loop once every line already received has
-/// been answered (`shutting_down`, as the flag is set by then).
+/// been answered (`shutting_down`, as the flag is set by then). On the
+/// way out the connection is shut both ways: the accept loop's handle
+/// keeps the socket open, and a client that half-closed is waiting for
+/// EOF.
 fn handle_connection(mut stream: &UnixStream, tx: &SyncSender<WorkItem>, ctx: &Arc<Ctx>) {
     // A write timeout keeps a dead client from wedging the thread.
     stream.set_write_timeout(Some(Duration::from_secs(10))).ok();
@@ -409,14 +414,15 @@ fn handle_connection(mut stream: &UnixStream, tx: &SyncSender<WorkItem>, ctx: &A
                     retry_after_ms: None,
                 })
             }
-            LineOutcome::Closed => return,
+            LineOutcome::Closed => break,
         };
         let mut line = response.encode();
         line.push('\n');
         if stream.write_all(line.as_bytes()).is_err() {
-            return;
+            break;
         }
     }
+    stream.shutdown(Shutdown::Both).ok();
 }
 
 /// Best-effort id extraction from a line that failed full decoding, so

@@ -30,6 +30,22 @@ fn stop(server: Server) {
     server.join().unwrap();
 }
 
+/// Shuts the server down and joins it, failing the test if that takes
+/// longer than `limit` (a drain that hangs would otherwise hang the
+/// test).
+fn stop_within(server: Server, limit: Duration, what: &str) {
+    let (done_tx, done_rx) = mpsc::channel();
+    let stopper = std::thread::spawn(move || {
+        server.shutdown();
+        done_tx.send(server.join()).unwrap();
+    });
+    match done_rx.recv_timeout(limit) {
+        Ok(joined) => joined.unwrap(),
+        Err(_) => panic!("shutdown {what} did not finish within {limit:?}"),
+    }
+    stopper.join().unwrap();
+}
+
 /// A request the daemon will spend `window` instructions on, regardless
 /// of profile or machine: the program never exits inside the window.
 fn slow(id: u64, window: u64) -> Request {
@@ -226,21 +242,46 @@ fn shutdown_ends_idle_connections_promptly() {
         })
         .collect();
 
-    let (done_tx, done_rx) = mpsc::channel();
-    std::thread::spawn(move || {
-        server.shutdown();
-        done_tx.send(server.join()).unwrap();
-    });
-    match done_rx.recv_timeout(Duration::from_secs(5)) {
-        Ok(joined) => joined.unwrap(),
-        Err(_) => panic!("shutdown with idle connections open did not finish within 5 s"),
-    }
+    stop_within(server, Duration::from_secs(5), "with idle connections open");
     for c in &mut idle {
         assert_eq!(c.recv_line(), None, "an idle connection is closed by the drain");
     }
-    // Shutdown's wake connection is not a client connection.
+    // Only client connections are counted.
     let text = render_prometheus(&registry.snapshot());
     assert!(text.contains("instrep_serve_connections 3\n"), "{text}");
+}
+
+#[test]
+fn shutdown_drains_after_the_socket_file_is_deleted() {
+    let (server, _registry) = start(ServeConfig::new(socket_path("svc-unlinked")));
+    let mut idle = Client::connect(server.socket());
+    idle.send_line("not json");
+    assert!(idle.recv_line().unwrap().contains("bad_request"));
+    // Nothing can connect to the daemon any more; shutdown must not
+    // need to.
+    std::fs::remove_file(server.socket()).unwrap();
+    stop_within(server, Duration::from_secs(5), "without a socket file");
+    assert_eq!(idle.recv_line(), None, "an idle connection is closed by the drain");
+}
+
+#[test]
+fn a_half_closed_connection_gets_eof_after_its_replies() {
+    let (server, _registry) = start(ServeConfig::new(socket_path("svc-half")));
+    let mut c = Client::connect(server.socket());
+    c.send_line("not json");
+    c.shutdown_write();
+    assert!(c.recv_line().unwrap().contains("bad_request"));
+    // No other client connects, so nothing else wakes the daemon: the
+    // connection thread itself must close the connection once it has
+    // seen EOF and answered every line.
+    let (eof_tx, eof_rx) = mpsc::channel();
+    let reader = std::thread::spawn(move || eof_tx.send(c.recv_line()).unwrap());
+    match eof_rx.recv_timeout(Duration::from_secs(1)) {
+        Ok(line) => assert_eq!(line, None, "nothing follows the reply"),
+        Err(_) => panic!("no EOF within 1 s after the last reply"),
+    }
+    reader.join().unwrap();
+    stop(server);
 }
 
 #[test]

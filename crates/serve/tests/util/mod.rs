@@ -6,6 +6,7 @@
 #![allow(dead_code)]
 
 use std::io::{ErrorKind, Read, Write};
+use std::net::Shutdown;
 use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -64,6 +65,12 @@ impl Client {
     pub fn try_send_line(&mut self, line: &str) -> std::io::Result<()> {
         self.stream.write_all(line.as_bytes())?;
         self.stream.write_all(b"\n")
+    }
+
+    /// Half-closes the connection: the server sees EOF after the lines
+    /// already sent, and replies can still be read.
+    pub fn shutdown_write(&self) {
+        self.stream.shutdown(Shutdown::Write).unwrap();
     }
 
     /// Reads one response line; `None` means the server closed the
