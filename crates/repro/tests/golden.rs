@@ -1,16 +1,18 @@
-//! Golden-snapshot tests: the full `instrep-repro` table output for two
-//! pinned workloads is compared byte-for-byte against files under
-//! `tests/golden/`. Any intended change to a table layout, an analysis,
-//! or a workload shows up here as a diff to review; regenerate with
+//! Golden-snapshot tests: the full `instrep-repro` table output for the
+//! pinned workloads, and the profile, loops and interval exports of one
+//! `interp` run, are compared byte-for-byte against files under
+//! `tests/golden/`. Any intended change to a table layout, an export, an
+//! analysis, or a workload shows up here as a diff to review; regenerate
+//! with
 //!
 //! ```text
 //! UPDATE_GOLDEN=1 cargo test -p instrep-repro --test golden
 //! ```
 //!
-//! Only stdout is pinned (stderr carries wall-clock timings). The runs
-//! use `--jobs 2`, and one case is re-run at `--jobs 1` to hold the
-//! pipeline to its determinism contract: identical bytes for every jobs
-//! count.
+//! Tables are pinned from stdout (stderr carries wall-clock timings),
+//! exports from the files written. The runs use `--jobs 2`, and one case
+//! is re-run at `--jobs 1` to hold the pipeline to its determinism
+//! contract: identical bytes for every jobs count.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -114,4 +116,48 @@ fn snapshot_is_independent_of_jobs_count() {
     }
     let want = std::fs::read(golden_path(name)).expect("golden file exists");
     assert_bytes_match(name, &stdout, &want);
+}
+
+/// The probe exports of one pinned run, each compared byte-for-byte with
+/// its file under `tests/golden/`: `--profile-out`, `--loops-out` and
+/// `--interval-out` of the flat-dispatch `interp` family.
+#[test]
+fn probe_exports_match_golden_files() {
+    let dir = std::env::temp_dir().join(format!("instrep-golden-exports-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let files = [
+        ("--profile-out", "interp_tiny_profile.json"),
+        ("--loops-out", "interp_tiny_loops.json"),
+        ("--interval-out", "interp_tiny_intervals.jsonl"),
+    ];
+    let outs: Vec<PathBuf> = files.iter().map(|(_, name)| dir.join(name)).collect();
+    let mut args = vec![
+        "--scale",
+        "tiny",
+        "--seed",
+        "1998",
+        "--jobs",
+        "2",
+        "--only",
+        "interp",
+        "--interval",
+        "50000",
+    ];
+    for ((flag, _), out) in files.iter().zip(&outs) {
+        args.extend([*flag, out.to_str().unwrap()]);
+    }
+    run_stdout(&args);
+    for ((_, name), out) in files.iter().zip(&outs) {
+        let got = std::fs::read(out).expect("export written");
+        let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden").join(name);
+        if std::env::var_os("UPDATE_GOLDEN").is_some() {
+            std::fs::write(&path, &got).expect("write golden file");
+            continue;
+        }
+        let want = std::fs::read(&path).unwrap_or_else(|e| {
+            panic!("missing golden file {} ({e}); generate it with UPDATE_GOLDEN=1", path.display())
+        });
+        assert_bytes_match(name, &got, &want);
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
