@@ -16,11 +16,10 @@
 //! deterministic analyses, so the document is byte-reproducible across
 //! runs and `--jobs` counts. Schema in `DESIGN.md` §10.
 
-use crate::metrics::{json_f64, json_string};
+use crate::json::{JsonWriter, Layout};
 
 /// Version of the interval JSONL document. Bump on any change to field
-/// names, meanings, or structure; `scripts/ci.sh` greps for the current
-/// value to catch accidental drift.
+/// names, meanings, or structure.
 pub const INTERVAL_SCHEMA_VERSION: u32 = 1;
 
 /// One closed measurement window.
@@ -57,7 +56,8 @@ impl IntervalWindow {
     }
 }
 
-fn frac(part: u64, whole: u64) -> f64 {
+/// `part / whole`, or 0 when `whole` is 0.
+pub(crate) fn frac(part: u64, whole: u64) -> f64 {
     if whole == 0 {
         0.0
     } else {
@@ -181,35 +181,36 @@ pub fn to_jsonl(
     interval: u64,
     series: &[(String, Vec<IntervalWindow>)],
 ) -> String {
-    let mut s =
-        String::with_capacity(128 + series.iter().map(|(_, w)| w.len() * 160).sum::<usize>());
-    s.push_str(&format!(
-        "{{\"schema_version\": {INTERVAL_SCHEMA_VERSION}, \"kind\": \"intervals\", \
-         \"scale\": {}, \"seed\": {seed}, \"jobs\": {jobs}, \"interval\": {interval}}}\n",
-        json_string(scale),
-    ));
+    let capacity = 128 + series.iter().map(|(_, w)| w.len() * 256).sum::<usize>();
+    let mut w = JsonWriter::new(Layout::Line, capacity);
+    w.row(|w| {
+        w.key("schema_version").uint(INTERVAL_SCHEMA_VERSION.into());
+        w.key("kind").str("intervals");
+        w.key("scale").str(scale);
+        w.key("seed").uint(seed);
+        w.key("jobs").uint(jobs as u64);
+        w.key("interval").uint(interval);
+    });
+    w.newline();
     for (name, windows) in series {
-        for (i, w) in windows.iter().enumerate() {
-            s.push_str(&format!(
-                "{{\"workload\": {}, \"window\": {}, \"end\": {}, \"insns\": {}, \
-                 \"repeated\": {}, \"repeat_frac\": {}, \"reuse_hits\": {}, \
-                 \"reuse_hit_frac\": {}, \"occupancy\": {}, \"unique_growth\": {}, \
-                 \"partial\": {}}}\n",
-                json_string(name),
-                i + 1,
-                w.end,
-                w.insns,
-                w.repeated,
-                json_f64(w.repeat_frac()),
-                w.reuse_hits,
-                json_f64(w.reuse_hit_frac()),
-                w.occupancy,
-                w.unique_growth,
-                w.partial,
-            ));
+        for (i, win) in windows.iter().enumerate() {
+            w.row(|w| {
+                w.key("workload").str(name);
+                w.key("window").uint(i as u64 + 1);
+                w.key("end").uint(win.end);
+                w.key("insns").uint(win.insns);
+                w.key("repeated").uint(win.repeated);
+                w.key("repeat_frac").f3(win.repeat_frac());
+                w.key("reuse_hits").uint(win.reuse_hits);
+                w.key("reuse_hit_frac").f3(win.reuse_hit_frac());
+                w.key("occupancy").uint(win.occupancy);
+                w.key("unique_growth").uint(win.unique_growth);
+                w.key("partial").bool(win.partial);
+            });
+            w.newline();
         }
     }
-    s
+    w.finish()
 }
 
 #[cfg(test)]
@@ -282,39 +283,5 @@ mod tests {
         };
         assert!((w.repeat_frac() - 0.75).abs() < 1e-12);
         assert!((w.reuse_hit_frac() - 0.25).abs() < 1e-12);
-    }
-
-    #[test]
-    fn jsonl_shape() {
-        let windows = vec![
-            IntervalWindow {
-                end: 2,
-                insns: 2,
-                repeated: 1,
-                reuse_hits: 1,
-                occupancy: 2,
-                unique_growth: 2,
-                partial: false,
-            },
-            IntervalWindow {
-                end: 3,
-                insns: 1,
-                repeated: 1,
-                reuse_hits: 0,
-                occupancy: 2,
-                unique_growth: 0,
-                partial: true,
-            },
-        ];
-        let doc = to_jsonl("tiny", 7, 2, 2, &[("compress".to_string(), windows)]);
-        let lines: Vec<&str> = doc.lines().collect();
-        assert_eq!(lines.len(), 3);
-        assert!(lines[0].contains("\"schema_version\": 1"));
-        assert!(lines[0].contains("\"kind\": \"intervals\""));
-        assert!(lines[0].contains("\"interval\": 2"));
-        assert!(lines[1].contains("\"workload\": \"compress\""));
-        assert!(lines[1].contains("\"window\": 1"));
-        assert!(lines[1].contains("\"partial\": false"));
-        assert!(lines[2].contains("\"partial\": true"));
     }
 }

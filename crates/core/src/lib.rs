@@ -36,6 +36,9 @@
 //!   streaming JSONL (`instrep-repro --heartbeat-out/--heartbeat-ms`),
 //!   Prometheus-style text exposition (`--telemetry-out`), and a live
 //!   TTY progress line (`--progress`).
+//! * [`json`] — the one JSON module: the strict, depth-bounded parser
+//!   every reader uses and the writer every export and wire line is
+//!   rendered with.
 //! * [`service`] — the typed wire contract of the `instrep-serve`
 //!   analysis daemon: schema-versioned `Request`/`Response` structs
 //!   with a canonical newline-delimited JSON encoding shared by the
@@ -84,6 +87,7 @@ mod function;
 pub mod fxhash;
 mod global;
 pub mod interval;
+pub mod json;
 mod local;
 pub mod loops;
 pub mod metrics;

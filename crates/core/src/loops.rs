@@ -39,12 +39,12 @@ use instrep_sim::{CtrlEffect, Event};
 
 use crate::classes::InsnClass;
 use crate::fxhash::FxHashMap;
-use crate::metrics::{comma, indent, push_kv_f64, push_kv_raw, push_kv_str, push_kv_u64};
+use crate::interval::frac;
+use crate::json::{JsonWriter, Layout};
 use crate::tracker::StaticStats;
 
 /// Version of the loops JSON document. Bump on any change to field
-/// names, meanings, or structure; `scripts/ci.sh` greps for the current
-/// value to catch accidental drift.
+/// names, meanings, or structure.
 pub const LOOPS_SCHEMA_VERSION: u32 = 1;
 
 /// Function name used for loops headed outside any `.func` region.
@@ -417,11 +417,7 @@ pub struct LoopRecord {
 impl LoopRecord {
     /// Fraction of this loop's executions classified repeated.
     pub fn repeat_rate(&self) -> f64 {
-        if self.exec == 0 {
-            0.0
-        } else {
-            self.repeated as f64 / self.exec as f64
-        }
+        frac(self.repeated, self.exec)
     }
 }
 
@@ -597,95 +593,88 @@ impl LoopsReport {
     /// the loop table, per-depth and per-class rollups, and the
     /// redundancy summary. Key order is fixed; byte-reproducible.
     pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(256 + self.workloads.len() * 2048);
-        s.push_str("{\n");
-        push_kv_u64(&mut s, 1, "schema_version", u64::from(LOOPS_SCHEMA_VERSION), true);
-        push_kv_str(&mut s, 1, "kind", "loops", true);
-        push_kv_str(&mut s, 1, "scale", &self.scale, true);
-        push_kv_u64(&mut s, 1, "seed", self.seed, true);
-        // No `jobs` field on purpose: the document is byte-identical for
-        // every worker count, and recording one would break that.
-        push_kv_u64(&mut s, 1, "top", self.top as u64, true);
-        indent(&mut s, 1);
-        s.push_str("\"workloads\": [\n");
-        for (wi, (name, p)) in self.workloads.iter().enumerate() {
-            indent(&mut s, 2);
-            s.push_str("{\n");
-            push_kv_str(&mut s, 3, "name", name, true);
-            push_kv_u64(&mut s, 3, "dynamic_total", p.total_exec(), true);
-            push_kv_u64(&mut s, 3, "dynamic_repeated", p.total_repeated(), true);
-            push_kv_u64(&mut s, 3, "loops_discovered", p.loops.len() as u64, true);
-            push_kv_u64(&mut s, 3, "back_edges", p.back_edges, true);
-            push_kv_u64(&mut s, 3, "irregular_edges", p.irregular, true);
-            push_kv_u64(&mut s, 3, "max_depth", u64::from(p.max_depth), true);
-            push_kv_u64(&mut s, 3, "no_loop_exec", p.no_loop_exec, true);
-            push_kv_u64(&mut s, 3, "no_loop_repeated", p.no_loop_repeated, true);
+        let mut w = JsonWriter::new(Layout::Indented, 256 + self.workloads.len() * 2048);
+        w.object(|w| {
+            w.key("schema_version").uint(LOOPS_SCHEMA_VERSION.into());
+            w.key("kind").str("loops");
+            w.key("scale").str(&self.scale);
+            w.key("seed").uint(self.seed);
+            // No `jobs` field on purpose: the document is byte-identical for
+            // every worker count, and recording one would break that.
+            w.key("top").uint(self.top as u64);
+            w.key("workloads").array(|w| {
+                for (name, p) in &self.workloads {
+                    w.object(|w| self.write_workload(w, name, p));
+                }
+            });
+        });
+        w.newline();
+        w.finish()
+    }
 
-            indent(&mut s, 3);
-            s.push_str("\"loops\": [\n");
-            for (i, l) in p.loops.iter().enumerate() {
-                push_loop(&mut s, l, i + 1 < p.loops.len());
+    /// One workload's members: totals, the loop table, per-depth and
+    /// per-class rollups, and the redundancy summary.
+    fn write_workload(&self, w: &mut JsonWriter, name: &str, p: &LoopNestProfile) {
+        w.key("name").str(name);
+        w.key("dynamic_total").uint(p.total_exec());
+        w.key("dynamic_repeated").uint(p.total_repeated());
+        w.key("loops_discovered").uint(p.loops.len() as u64);
+        w.key("back_edges").uint(p.back_edges);
+        w.key("irregular_edges").uint(p.irregular);
+        w.key("max_depth").uint(p.max_depth.into());
+        w.key("no_loop_exec").uint(p.no_loop_exec);
+        w.key("no_loop_repeated").uint(p.no_loop_repeated);
+        w.key("loops").array(|w| {
+            for l in &p.loops {
+                w.object(|w| {
+                    w.key("header").hex32(l.header);
+                    w.key("end").hex32(l.end);
+                    w.key("function").str(&l.func);
+                    w.key("line_lo").uint(l.line_lo.into());
+                    w.key("line_hi").uint(l.line_hi.into());
+                    w.key("depth").uint(l.depth.into());
+                    w.key("trips").uint(l.trips);
+                    w.key("entries").uint(l.entries);
+                    w.key("exec").uint(l.exec);
+                    w.key("repeated").uint(l.repeated);
+                    w.key("unique_repeatable").uint(l.unique_repeatable);
+                    w.key("repeat_rate").f3(l.repeat_rate());
+                });
             }
-            indent(&mut s, 3);
-            s.push_str("],\n");
-
-            indent(&mut s, 3);
-            s.push_str("\"depths\": [\n");
-            let depths = p.depth_rollups();
-            for (i, &(depth, paths, exec, repeated)) in depths.iter().enumerate() {
-                indent(&mut s, 4);
-                s.push_str("{\n");
-                push_kv_u64(&mut s, 5, "depth", u64::from(depth), true);
-                push_kv_u64(&mut s, 5, "paths", paths, true);
-                push_kv_u64(&mut s, 5, "exec", exec, true);
-                push_kv_u64(&mut s, 5, "repeated", repeated, true);
-                let rate = if exec == 0 { 0.0 } else { repeated as f64 / exec as f64 };
-                push_kv_f64(&mut s, 5, "repeat_rate", rate, false);
-                indent(&mut s, 4);
-                s.push_str(&format!("}}{}\n", comma(i + 1 < depths.len())));
+        });
+        w.key("depths").array(|w| {
+            for (depth, paths, exec, repeated) in p.depth_rollups() {
+                w.object(|w| {
+                    w.key("depth").uint(depth.into());
+                    w.key("paths").uint(paths);
+                    w.key("exec").uint(exec);
+                    w.key("repeated").uint(repeated);
+                    w.key("repeat_rate").f3(frac(repeated, exec));
+                });
             }
-            indent(&mut s, 3);
-            s.push_str("],\n");
-
-            indent(&mut s, 3);
-            s.push_str("\"classes\": [\n");
-            let classes = p.class_rollups();
-            for (i, &(class, exec, repeated)) in classes.iter().enumerate() {
-                indent(&mut s, 4);
-                s.push_str("{\n");
-                push_kv_str(&mut s, 5, "class", class.label(), true);
-                push_kv_u64(&mut s, 5, "exec", exec, true);
-                push_kv_u64(&mut s, 5, "repeated", repeated, true);
-                let rate = if exec == 0 { 0.0 } else { repeated as f64 / exec as f64 };
-                push_kv_f64(&mut s, 5, "repeat_rate", rate, false);
-                indent(&mut s, 4);
-                s.push_str(&format!("}}{}\n", comma(i + 1 < classes.len())));
+        });
+        w.key("classes").array(|w| {
+            for (class, exec, repeated) in p.class_rollups() {
+                w.object(|w| {
+                    w.key("class").str(class.label());
+                    w.key("exec").uint(exec);
+                    w.key("repeated").uint(repeated);
+                    w.key("repeat_rate").f3(frac(repeated, exec));
+                });
             }
-            indent(&mut s, 3);
-            s.push_str("],\n");
-
-            // The Shaccour & Mansour-style summary: how much of the
-            // workload's repetition the top-k loops alone explain.
-            let total_rep = p.total_repeated();
-            let top_k_rep = p.top_k_repeated(self.top);
-            indent(&mut s, 3);
-            s.push_str("\"redundancy\": {\n");
-            push_kv_u64(&mut s, 4, "total_repeated", total_rep, true);
-            push_kv_u64(&mut s, 4, "loop_repeated", p.loop_repeated(), true);
-            push_kv_u64(&mut s, 4, "top_k", self.top as u64, true);
-            push_kv_u64(&mut s, 4, "top_k_repeated", top_k_rep, true);
-            let cover = |n: u64| if total_rep == 0 { 0.0 } else { n as f64 / total_rep as f64 };
-            push_kv_f64(&mut s, 4, "top_k_coverage", cover(top_k_rep), true);
-            push_kv_f64(&mut s, 4, "loop_coverage", cover(p.loop_repeated()), false);
-            indent(&mut s, 3);
-            s.push_str("}\n");
-
-            indent(&mut s, 2);
-            s.push_str(&format!("}}{}\n", comma(wi + 1 < self.workloads.len())));
-        }
-        indent(&mut s, 1);
-        s.push_str("]\n}\n");
-        s
+        });
+        // The Shaccour & Mansour-style summary: how much of the
+        // workload's repetition the top-k loops alone explain.
+        let total_rep = p.total_repeated();
+        let top_k_rep = p.top_k_repeated(self.top);
+        w.key("redundancy").object(|w| {
+            w.key("total_repeated").uint(total_rep);
+            w.key("loop_repeated").uint(p.loop_repeated());
+            w.key("top_k").uint(self.top as u64);
+            w.key("top_k_repeated").uint(top_k_rep);
+            w.key("top_k_coverage").f3(frac(top_k_rep, total_rep));
+            w.key("loop_coverage").f3(frac(p.loop_repeated(), total_rep));
+        });
     }
 
     /// Renders collapsed-stack lines keyed by loop-nest path:
@@ -720,26 +709,6 @@ impl LoopsReport {
         }
         s
     }
-}
-
-/// Emits one loop object at indent level 4.
-fn push_loop(s: &mut String, l: &LoopRecord, more: bool) {
-    indent(s, 4);
-    s.push_str("{\n");
-    push_kv_raw(s, 5, "header", &format!("\"{:#010x}\"", l.header), true);
-    push_kv_raw(s, 5, "end", &format!("\"{:#010x}\"", l.end), true);
-    push_kv_str(s, 5, "function", &l.func, true);
-    push_kv_u64(s, 5, "line_lo", u64::from(l.line_lo), true);
-    push_kv_u64(s, 5, "line_hi", u64::from(l.line_hi), true);
-    push_kv_u64(s, 5, "depth", u64::from(l.depth), true);
-    push_kv_u64(s, 5, "trips", l.trips, true);
-    push_kv_u64(s, 5, "entries", l.entries, true);
-    push_kv_u64(s, 5, "exec", l.exec, true);
-    push_kv_u64(s, 5, "repeated", l.repeated, true);
-    push_kv_u64(s, 5, "unique_repeatable", l.unique_repeatable, true);
-    push_kv_f64(s, 5, "repeat_rate", l.repeat_rate(), false);
-    indent(s, 4);
-    s.push_str(&format!("}}{}\n", comma(more)));
 }
 
 #[cfg(test)]
@@ -958,7 +927,7 @@ int main() {
     }
 
     #[test]
-    fn json_and_folded_are_well_formed() {
+    fn folded_stacks_are_well_formed() {
         let (p, report) = profiled(NEST_SRC);
         let doc = LoopsReport {
             scale: "tiny".into(),
@@ -966,14 +935,6 @@ int main() {
             top: 3,
             workloads: vec![("nest".into(), p)],
         };
-        let json = doc.to_json();
-        assert!(json.starts_with("{\n  \"schema_version\": 1,\n  \"kind\": \"loops\",\n"));
-        for key in ["\"loops\": [", "\"depths\": [", "\"classes\": [", "\"redundancy\": {"] {
-            assert!(json.contains(key), "missing {key}");
-        }
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
-
         let folded = doc.to_folded();
         let mut exec_total = 0u64;
         let mut rep_total = 0u64;

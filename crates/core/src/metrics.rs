@@ -20,9 +20,10 @@
 
 use std::time::Instant;
 
+use crate::json::{JsonWriter, Layout};
+
 /// Version of the JSON documents this module emits. Bump on any change
-/// to field names, meanings, or structure; `scripts/ci.sh` greps for the
-/// current value to catch accidental drift.
+/// to field names, meanings, or structure.
 pub const METRICS_SCHEMA_VERSION: u32 = 1;
 
 /// A monotonic-clock stopwatch for one pipeline phase.
@@ -161,57 +162,41 @@ impl MetricsReport {
     /// Renders the versioned JSON document. Key order is fixed, so the
     /// output is deterministic for deterministic inputs.
     pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(4096);
-        s.push_str("{\n");
-        push_kv_u64(&mut s, 1, "schema_version", u64::from(METRICS_SCHEMA_VERSION), true);
-        push_kv_str(&mut s, 1, "kind", "metrics", true);
-        push_kv_str(&mut s, 1, "scale", &self.scale, true);
-        push_kv_u64(&mut s, 1, "seed", self.seed, true);
-        push_kv_u64(&mut s, 1, "jobs", self.jobs as u64, true);
-        push_kv_f64(&mut s, 1, "wall_ms_total", self.wall_ns_total as f64 / 1e6, true);
-        push_kv_u64(&mut s, 1, "peak_rss_bytes", self.peak_rss_bytes, true);
-        indent(&mut s, 1);
-        s.push_str("\"workloads\": [\n");
-        for (wi, (name, m)) in self.workloads.iter().enumerate() {
-            indent(&mut s, 2);
-            s.push_str("{\n");
-            push_kv_str(&mut s, 3, "name", name, true);
-            push_kv_u64(&mut s, 3, "events_total", m.events_total(), true);
-            indent(&mut s, 3);
-            s.push_str("\"phases\": [\n");
-            for (pi, p) in m.phases.iter().enumerate() {
-                indent(&mut s, 4);
-                s.push_str(&format!(
-                    "{{\"name\": {}, \"wall_ms\": {}, \"events\": {}, \
-                     \"events_per_sec\": {}}}{}\n",
-                    json_string(p.name),
-                    json_f64(p.wall_ms()),
-                    p.events,
-                    json_f64(p.events_per_sec()),
-                    comma(pi + 1 < m.phases.len()),
-                ));
-            }
-            indent(&mut s, 3);
-            s.push_str("],\n");
-            indent(&mut s, 3);
-            s.push_str("\"gauges\": {\n");
-            for (gi, (gname, gval)) in m.gauges.iter().enumerate() {
-                indent(&mut s, 4);
-                s.push_str(&format!(
-                    "{}: {}{}\n",
-                    json_string(gname),
-                    gval,
-                    comma(gi + 1 < m.gauges.len())
-                ));
-            }
-            indent(&mut s, 3);
-            s.push_str("}\n");
-            indent(&mut s, 2);
-            s.push_str(&format!("}}{}\n", comma(wi + 1 < self.workloads.len())));
-        }
-        indent(&mut s, 1);
-        s.push_str("]\n}\n");
-        s
+        let mut w = JsonWriter::new(Layout::Indented, 4096);
+        w.object(|w| {
+            w.key("schema_version").uint(METRICS_SCHEMA_VERSION.into());
+            w.key("kind").str("metrics");
+            w.key("scale").str(&self.scale);
+            w.key("seed").uint(self.seed);
+            w.key("jobs").uint(self.jobs as u64);
+            w.key("wall_ms_total").f3(self.wall_ns_total as f64 / 1e6);
+            w.key("peak_rss_bytes").uint(self.peak_rss_bytes);
+            w.key("workloads").array(|w| {
+                for (name, m) in &self.workloads {
+                    w.object(|w| {
+                        w.key("name").str(name);
+                        w.key("events_total").uint(m.events_total());
+                        w.key("phases").array(|w| {
+                            for p in &m.phases {
+                                w.row(|w| {
+                                    w.key("name").str(p.name);
+                                    w.key("wall_ms").f3(p.wall_ms());
+                                    w.key("events").uint(p.events);
+                                    w.key("events_per_sec").f3(p.events_per_sec());
+                                });
+                            }
+                        });
+                        w.key("gauges").object(|w| {
+                            for &(gname, gval) in &m.gauges {
+                                w.key(gname).uint(gval);
+                            }
+                        });
+                    });
+                }
+            });
+        });
+        w.newline();
+        w.finish()
     }
 }
 
@@ -265,40 +250,37 @@ pub struct BenchSummary {
 impl BenchSummary {
     /// Renders the versioned JSON document.
     pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(2048);
-        s.push_str("{\n");
-        push_kv_u64(&mut s, 1, "schema_version", u64::from(METRICS_SCHEMA_VERSION), true);
-        push_kv_str(&mut s, 1, "kind", "bench", true);
-        push_kv_u64(&mut s, 1, "runs", self.runs as u64, true);
-        push_kv_str(&mut s, 1, "scale", &self.scale, true);
-        push_kv_u64(&mut s, 1, "seed", self.seed, true);
-        push_kv_u64(&mut s, 1, "jobs", self.jobs as u64, true);
-        indent(&mut s, 1);
-        s.push_str("\"workloads\": [\n");
-        for (wi, w) in self.workloads.iter().enumerate() {
-            indent(&mut s, 2);
-            s.push_str(&format!("{{\"name\": {}, \"phases\": [\n", json_string(&w.name)));
-            for (pi, p) in w.phases.iter().enumerate() {
-                indent(&mut s, 3);
-                s.push_str(&format!(
-                    "{{\"name\": {}, \"median_ms\": {}, \"iqr_ms\": {}, \"min_ms\": {}, \
-                     \"max_ms\": {}, \"avg_ms\": {}, \"median_events_per_sec\": {}}}{}\n",
-                    json_string(p.name),
-                    json_f64(p.median_ms),
-                    json_f64(p.iqr_ms),
-                    json_f64(p.min_ms),
-                    json_f64(p.max_ms),
-                    json_f64(p.avg_ms),
-                    json_f64(p.median_events_per_sec),
-                    comma(pi + 1 < w.phases.len()),
-                ));
-            }
-            indent(&mut s, 2);
-            s.push_str(&format!("]}}{}\n", comma(wi + 1 < self.workloads.len())));
-        }
-        indent(&mut s, 1);
-        s.push_str("]\n}\n");
-        s
+        let mut w = JsonWriter::new(Layout::Indented, 2048);
+        w.object(|w| {
+            w.key("schema_version").uint(METRICS_SCHEMA_VERSION.into());
+            w.key("kind").str("bench");
+            w.key("runs").uint(self.runs as u64);
+            w.key("scale").str(&self.scale);
+            w.key("seed").uint(self.seed);
+            w.key("jobs").uint(self.jobs as u64);
+            w.key("workloads").array(|w| {
+                for wl in &self.workloads {
+                    w.row(|w| {
+                        w.key("name").str(&wl.name);
+                        w.key("phases").array(|w| {
+                            for p in &wl.phases {
+                                w.row(|w| {
+                                    w.key("name").str(p.name);
+                                    w.key("median_ms").f3(p.median_ms);
+                                    w.key("iqr_ms").f3(p.iqr_ms);
+                                    w.key("min_ms").f3(p.min_ms);
+                                    w.key("max_ms").f3(p.max_ms);
+                                    w.key("avg_ms").f3(p.avg_ms);
+                                    w.key("median_events_per_sec").f3(p.median_events_per_sec);
+                                });
+                            }
+                        });
+                    });
+                }
+            });
+        });
+        w.newline();
+        w.finish()
     }
 }
 
@@ -426,70 +408,6 @@ fn parse_vm_hwm(status: &str) -> u64 {
     kb.trim().parse::<u64>().map_or(0, |kb| kb.saturating_mul(1024))
 }
 
-// --- tiny deterministic JSON emission helpers -------------------------
-// Shared with the trace_span and interval emitters (same crate), which
-// version their documents the same way.
-
-pub(crate) fn indent(s: &mut String, level: usize) {
-    for _ in 0..level {
-        s.push_str("  ");
-    }
-}
-
-pub(crate) fn comma(more: bool) -> &'static str {
-    if more {
-        ","
-    } else {
-        ""
-    }
-}
-
-pub(crate) fn push_kv_raw(s: &mut String, level: usize, key: &str, value: &str, more: bool) {
-    indent(s, level);
-    s.push_str(&format!("{}: {}{}\n", json_string(key), value, comma(more)));
-}
-
-pub(crate) fn push_kv_u64(s: &mut String, level: usize, key: &str, value: u64, more: bool) {
-    push_kv_raw(s, level, key, &value.to_string(), more);
-}
-
-pub(crate) fn push_kv_f64(s: &mut String, level: usize, key: &str, value: f64, more: bool) {
-    push_kv_raw(s, level, key, &json_f64(value), more);
-}
-
-pub(crate) fn push_kv_str(s: &mut String, level: usize, key: &str, value: &str, more: bool) {
-    push_kv_raw(s, level, key, &json_string(value), more);
-}
-
-/// JSON-escapes and quotes a string.
-pub(crate) fn json_string(v: &str) -> String {
-    let mut out = String::with_capacity(v.len() + 2);
-    out.push('"');
-    for c in v.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Formats a finite f64 as a JSON number (3 decimal places; NaN and
-/// infinities — which the pipeline never produces — clamp to 0).
-pub(crate) fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.3}")
-    } else {
-        "0.000".to_string()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -550,28 +468,6 @@ mod tests {
         let mut runs = report_with(&[10.0, 20.0]);
         runs[1].workloads[0].0 = "other".to_string();
         assert!(summarize_runs(&runs).is_err());
-    }
-
-    #[test]
-    fn json_documents_carry_schema_version() {
-        let runs = report_with(&[10.0]);
-        let metrics_json = runs[0].to_json();
-        assert!(metrics_json.contains("\"schema_version\": 1"));
-        assert!(metrics_json.contains("\"kind\": \"metrics\""));
-        assert!(metrics_json.contains("\"events_per_sec\""));
-        let bench_json = summarize_runs(&runs).unwrap().to_json();
-        assert!(bench_json.contains("\"schema_version\": 1"));
-        assert!(bench_json.contains("\"kind\": \"bench\""));
-        assert!(bench_json.contains("\"median_ms\""));
-        assert!(bench_json.contains("\"min_ms\""));
-        assert!(bench_json.contains("\"max_ms\""));
-        assert!(bench_json.contains("\"avg_ms\""));
-    }
-
-    #[test]
-    fn json_string_escaping() {
-        assert_eq!(json_string("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
-        assert_eq!(json_f64(f64::NAN), "0.000");
     }
 
     #[test]

@@ -32,12 +32,12 @@
 use instrep_asm::Image;
 
 use crate::classes::InsnClass;
-use crate::metrics::{comma, indent, push_kv_f64, push_kv_raw, push_kv_str, push_kv_u64};
+use crate::interval::frac;
+use crate::json::{JsonWriter, Layout};
 use crate::tracker::RepetitionTracker;
 
 /// Version of the profile JSON document. Bump on any change to field
-/// names, meanings, or structure; `scripts/ci.sh` greps for the current
-/// value to catch accidental drift.
+/// names, meanings, or structure.
 pub const PROFILE_SCHEMA_VERSION: u32 = 1;
 
 /// Function name used for instructions outside any `.func` region.
@@ -68,11 +68,7 @@ pub struct SiteProfile {
 impl SiteProfile {
     /// Fraction of this site's executions classified repeated.
     pub fn repeat_rate(&self) -> f64 {
-        if self.exec == 0 {
-            0.0
-        } else {
-            self.repeated as f64 / self.exec as f64
-        }
+        frac(self.repeated, self.exec)
     }
 }
 
@@ -277,85 +273,61 @@ impl ProfileReport {
     /// the top-N sites, function and class rollups, and the full per-PC
     /// table. Key order is fixed; byte-reproducible.
     pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(256 + self.workloads.len() * 4096);
-        s.push_str("{\n");
-        push_kv_u64(&mut s, 1, "schema_version", u64::from(PROFILE_SCHEMA_VERSION), true);
-        push_kv_str(&mut s, 1, "kind", "profile", true);
-        push_kv_str(&mut s, 1, "scale", &self.scale, true);
-        push_kv_u64(&mut s, 1, "seed", self.seed, true);
-        // No `jobs` field on purpose: the document is byte-identical for
-        // every worker count, and recording one would break that.
-        push_kv_u64(&mut s, 1, "top", self.top as u64, true);
-        indent(&mut s, 1);
-        s.push_str("\"workloads\": [\n");
-        for (wi, (name, profile)) in self.workloads.iter().enumerate() {
-            indent(&mut s, 2);
-            s.push_str("{\n");
-            push_kv_str(&mut s, 3, "name", name, true);
-            push_kv_u64(&mut s, 3, "dynamic_total", profile.total_exec(), true);
-            push_kv_u64(&mut s, 3, "dynamic_repeated", profile.total_repeated(), true);
-            push_kv_u64(&mut s, 3, "static_executed", profile.sites.len() as u64, true);
-
-            indent(&mut s, 3);
-            s.push_str("\"top_sites\": [\n");
-            let top = profile.top_sites(self.top);
-            for (i, site) in top.iter().enumerate() {
-                push_site(&mut s, site, i + 1 < top.len());
-            }
-            indent(&mut s, 3);
-            s.push_str("],\n");
-
-            indent(&mut s, 3);
-            s.push_str("\"functions\": [\n");
-            let funcs = profile.func_rollups();
-            for (i, f) in funcs.iter().enumerate() {
-                indent(&mut s, 4);
-                s.push_str("{\n");
-                push_kv_str(&mut s, 5, "name", &f.name, true);
-                push_kv_raw(&mut s, 5, "entry", &format!("\"{:#010x}\"", f.entry), true);
-                push_kv_u64(&mut s, 5, "sites", f.sites, true);
-                push_kv_u64(&mut s, 5, "exec", f.exec, true);
-                push_kv_u64(&mut s, 5, "repeated", f.repeated, true);
-                let rate = if f.exec == 0 { 0.0 } else { f.repeated as f64 / f.exec as f64 };
-                push_kv_f64(&mut s, 5, "repeat_rate", rate, false);
-                indent(&mut s, 4);
-                s.push_str(&format!("}}{}\n", comma(i + 1 < funcs.len())));
-            }
-            indent(&mut s, 3);
-            s.push_str("],\n");
-
-            indent(&mut s, 3);
-            s.push_str("\"classes\": [\n");
-            let classes = profile.class_rollups();
-            for (i, c) in classes.iter().enumerate() {
-                indent(&mut s, 4);
-                s.push_str("{\n");
-                push_kv_str(&mut s, 5, "class", c.class.label(), true);
-                push_kv_u64(&mut s, 5, "sites", c.sites, true);
-                push_kv_u64(&mut s, 5, "exec", c.exec, true);
-                push_kv_u64(&mut s, 5, "repeated", c.repeated, true);
-                let rate = if c.exec == 0 { 0.0 } else { c.repeated as f64 / c.exec as f64 };
-                push_kv_f64(&mut s, 5, "repeat_rate", rate, false);
-                indent(&mut s, 4);
-                s.push_str(&format!("}}{}\n", comma(i + 1 < classes.len())));
-            }
-            indent(&mut s, 3);
-            s.push_str("],\n");
-
-            indent(&mut s, 3);
-            s.push_str("\"sites\": [\n");
-            for (i, site) in profile.sites.iter().enumerate() {
-                push_site(&mut s, site, i + 1 < profile.sites.len());
-            }
-            indent(&mut s, 3);
-            s.push_str("]\n");
-
-            indent(&mut s, 2);
-            s.push_str(&format!("}}{}\n", comma(wi + 1 < self.workloads.len())));
-        }
-        indent(&mut s, 1);
-        s.push_str("]\n}\n");
-        s
+        let mut w = JsonWriter::new(Layout::Indented, 256 + self.workloads.len() * 4096);
+        w.object(|w| {
+            w.key("schema_version").uint(PROFILE_SCHEMA_VERSION.into());
+            w.key("kind").str("profile");
+            w.key("scale").str(&self.scale);
+            w.key("seed").uint(self.seed);
+            // No `jobs` field on purpose: the document is byte-identical for
+            // every worker count, and recording one would break that.
+            w.key("top").uint(self.top as u64);
+            w.key("workloads").array(|w| {
+                for (name, profile) in &self.workloads {
+                    w.object(|w| {
+                        w.key("name").str(name);
+                        w.key("dynamic_total").uint(profile.total_exec());
+                        w.key("dynamic_repeated").uint(profile.total_repeated());
+                        w.key("static_executed").uint(profile.sites.len() as u64);
+                        w.key("top_sites").array(|w| {
+                            for site in profile.top_sites(self.top) {
+                                write_site(w, site);
+                            }
+                        });
+                        w.key("functions").array(|w| {
+                            for f in profile.func_rollups() {
+                                w.object(|w| {
+                                    w.key("name").str(&f.name);
+                                    w.key("entry").hex32(f.entry);
+                                    w.key("sites").uint(f.sites);
+                                    w.key("exec").uint(f.exec);
+                                    w.key("repeated").uint(f.repeated);
+                                    w.key("repeat_rate").f3(frac(f.repeated, f.exec));
+                                });
+                            }
+                        });
+                        w.key("classes").array(|w| {
+                            for c in profile.class_rollups() {
+                                w.object(|w| {
+                                    w.key("class").str(c.class.label());
+                                    w.key("sites").uint(c.sites);
+                                    w.key("exec").uint(c.exec);
+                                    w.key("repeated").uint(c.repeated);
+                                    w.key("repeat_rate").f3(frac(c.repeated, c.exec));
+                                });
+                            }
+                        });
+                        w.key("sites").array(|w| {
+                            for site in &profile.sites {
+                                write_site(w, site);
+                            }
+                        });
+                    });
+                }
+            });
+        });
+        w.newline();
+        w.finish()
     }
 
     /// Renders collapsed-stack lines for flamegraph tools:
@@ -390,22 +362,20 @@ impl ProfileReport {
     }
 }
 
-/// Emits one site object at indent level 4 (used by both the top-N list
-/// and the full table).
-fn push_site(s: &mut String, site: &SiteProfile, more: bool) {
-    indent(s, 4);
-    s.push_str("{\n");
-    push_kv_raw(s, 5, "pc", &format!("\"{:#010x}\"", site.pc), true);
-    push_kv_u64(s, 5, "index", u64::from(site.index), true);
-    push_kv_str(s, 5, "function", &site.func, true);
-    push_kv_u64(s, 5, "line", u64::from(site.line), true);
-    push_kv_str(s, 5, "class", site.class.label(), true);
-    push_kv_u64(s, 5, "exec", site.exec, true);
-    push_kv_u64(s, 5, "repeated", site.repeated, true);
-    push_kv_u64(s, 5, "unique_repeatable", site.unique_repeatable, true);
-    push_kv_f64(s, 5, "repeat_rate", site.repeat_rate(), false);
-    indent(s, 4);
-    s.push_str(&format!("}}{}\n", comma(more)));
+/// Writes one site object (used by both the top-N list and the full
+/// table).
+fn write_site(w: &mut JsonWriter, site: &SiteProfile) {
+    w.object(|w| {
+        w.key("pc").hex32(site.pc);
+        w.key("index").uint(site.index.into());
+        w.key("function").str(&site.func);
+        w.key("line").uint(site.line.into());
+        w.key("class").str(site.class.label());
+        w.key("exec").uint(site.exec);
+        w.key("repeated").uint(site.repeated);
+        w.key("unique_repeatable").uint(site.unique_repeatable);
+        w.key("repeat_rate").f3(site.repeat_rate());
+    });
 }
 
 /// Renders the perf-annotate-style source view: every line of `source`
@@ -542,29 +512,6 @@ int main() {
         assert!(top[0].repeated > 0);
         // Asking for more than exists returns everything.
         assert_eq!(profile.top_sites(usize::MAX).len(), profile.sites.len());
-    }
-
-    #[test]
-    fn json_document_is_well_formed() {
-        let (profile, _) = profiled(LOOP_SRC);
-        let report = ProfileReport {
-            scale: "tiny".into(),
-            seed: 1,
-            top: 3,
-            workloads: vec![("loop".into(), profile)],
-        };
-        let json = report.to_json();
-        assert!(json.starts_with("{\n  \"schema_version\": 1,\n  \"kind\": \"profile\",\n"));
-        assert!(json.contains("\"top_sites\": ["));
-        assert!(json.contains("\"functions\": ["));
-        assert!(json.contains("\"classes\": ["));
-        assert!(json.contains("\"sites\": ["));
-        assert!(json.contains("\"function\": \"twice\""));
-        // Balanced braces/brackets (cheap well-formedness check).
-        let opens = json.matches('{').count();
-        let closes = json.matches('}').count();
-        assert_eq!(opens, closes);
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
     }
 
     #[test]

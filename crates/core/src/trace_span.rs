@@ -19,11 +19,10 @@
 
 use std::time::Instant;
 
-use crate::metrics::json_string;
+use crate::json::{JsonWriter, Layout};
 
 /// Version of the trace-event JSON document. Bump on any change to
-/// field names, meanings, or structure; `scripts/ci.sh` greps for the
-/// current value to catch accidental drift.
+/// field names, meanings, or structure.
 pub const TRACE_SCHEMA_VERSION: u32 = 1;
 
 /// One completed span: a named, categorized interval on one lane.
@@ -178,52 +177,53 @@ impl SpanTracer {
     /// microseconds since the epoch, plus thread-name metadata events.
     /// Key order is fixed; values are deterministic up to the clock.
     pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(256 + self.spans.len() * 128);
-        s.push_str("{\n");
-        s.push_str(&format!("  \"schema_version\": {TRACE_SCHEMA_VERSION},\n"));
-        s.push_str("  \"kind\": \"trace\",\n");
-        s.push_str("  \"displayTimeUnit\": \"ms\",\n");
-        s.push_str("  \"traceEvents\": [\n");
-        let mut events: Vec<String> = Vec::with_capacity(self.lane_names.len() + self.spans.len());
-        events.push(
-            "    {\"ph\": \"M\", \"name\": \"process_name\", \"pid\": 1, \"tid\": 0, \
-             \"args\": {\"name\": \"instrep\"}}"
-                .to_string(),
-        );
-        for (lane, name) in &self.lane_names {
-            events.push(format!(
-                "    {{\"ph\": \"M\", \"name\": \"thread_name\", \"pid\": 1, \"tid\": {lane}, \
-                 \"args\": {{\"name\": {}}}}}",
-                json_string(name)
-            ));
-        }
-        for sp in &self.spans {
-            events.push(format!(
-                "    {{\"ph\": \"X\", \"name\": {}, \"cat\": {}, \"pid\": 1, \"tid\": {}, \
-                 \"ts\": {}, \"dur\": {}, \"args\": {{\"events\": {}}}}}",
-                json_string(&sp.name),
-                json_string(sp.cat),
-                sp.lane,
-                micros(sp.start_ns),
-                micros(sp.dur_ns),
-                sp.events,
-            ));
-        }
-        s.push_str(&events.join(",\n"));
-        s.push_str("\n  ]\n}\n");
-        s
+        let mut w = JsonWriter::new(Layout::Indented, 256 + self.spans.len() * 128);
+        w.object(|w| {
+            w.key("schema_version").uint(TRACE_SCHEMA_VERSION.into());
+            w.key("kind").str("trace");
+            w.key("displayTimeUnit").str("ms");
+            w.key("traceEvents").array(|w| {
+                let meta = |w: &mut JsonWriter, name, tid: u32, value: &str| {
+                    w.row(|w| {
+                        w.key("ph").str("M");
+                        w.key("name").str(name);
+                        w.key("pid").uint(1);
+                        w.key("tid").uint(tid.into());
+                        w.key("args").row(|w| {
+                            w.key("name").str(value);
+                        });
+                    });
+                };
+                meta(w, "process_name", 0, "instrep");
+                for (lane, name) in &self.lane_names {
+                    meta(w, "thread_name", *lane, name);
+                }
+                for sp in &self.spans {
+                    w.row(|w| {
+                        w.key("ph").str("X");
+                        w.key("name").str(&sp.name);
+                        w.key("cat").str(sp.cat);
+                        w.key("pid").uint(1);
+                        w.key("tid").uint(sp.lane.into());
+                        // Chrome's unit is the microsecond; three
+                        // decimals keep every nanosecond.
+                        w.key("ts").thousandths(sp.start_ns);
+                        w.key("dur").thousandths(sp.dur_ns);
+                        w.key("args").row(|w| {
+                            w.key("events").uint(sp.events);
+                        });
+                    });
+                }
+            });
+        });
+        w.newline();
+        w.finish()
     }
 }
 
 /// Nanoseconds since `epoch`, saturating.
 fn elapsed_ns(epoch: Instant) -> u64 {
     u64::try_from(epoch.elapsed().as_nanos()).unwrap_or(u64::MAX)
-}
-
-/// Renders nanoseconds as fractional microseconds (Chrome's `ts` unit)
-/// with exact nanosecond precision.
-fn micros(ns: u64) -> String {
-    format!("{}.{:03}", ns / 1000, ns % 1000)
 }
 
 #[cfg(test)]
@@ -258,32 +258,5 @@ mod tests {
         let outer = lane.begin();
         let _inner = lane.begin();
         lane.end(outer, "outer", "phase", 0); // inner still open
-    }
-
-    #[test]
-    fn json_document_shape() {
-        let mut tracer = SpanTracer::new();
-        let mut lane = SpanLane::new(1, tracer.epoch());
-        let sp = lane.begin();
-        lane.end(sp, "measure", "phase", 42);
-        tracer.extend(lane.into_spans());
-        tracer.name_lane(1, "worker-0");
-        tracer.name_lane(1, "ignored-duplicate");
-        let json = tracer.to_json();
-        assert!(json.contains("\"schema_version\": 1"));
-        assert!(json.contains("\"kind\": \"trace\""));
-        assert!(json.contains("\"traceEvents\": ["));
-        assert!(json.contains("\"ph\": \"X\""));
-        assert!(json.contains("\"name\": \"measure\""));
-        assert!(json.contains("\"name\": \"worker-0\""));
-        assert!(!json.contains("ignored-duplicate"));
-        assert!(json.contains("\"args\": {\"events\": 42}"));
-    }
-
-    #[test]
-    fn micros_formatting_is_exact() {
-        assert_eq!(micros(0), "0.000");
-        assert_eq!(micros(999), "0.999");
-        assert_eq!(micros(1_234_567), "1234.567");
     }
 }

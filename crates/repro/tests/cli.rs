@@ -6,11 +6,9 @@
 //! must write valid schema-v1 documents without changing a byte of
 //! table stdout.
 
-mod json;
-
 use std::process::{Command, Output};
 
-use json::Json;
+use instrep_core::json::Json;
 
 fn run(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_instrep-repro"))
@@ -219,6 +217,57 @@ fn bench_settle_phase_extends_the_run_count() {
     // forces at least one extra (settling) iteration on any machine.
     assert!(err.contains("(settling)"), "stderr: {err}");
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Every committed `BENCH_*.json` trajectory parses and keeps its
+/// schema: a v1 `bench-trajectory` wrapping v1 entries, at least one a
+/// `bench` summary; a phase with `min_ms` also has `max_ms` and
+/// `avg_ms` (older files predate all three); and the retired
+/// `observer-costs` and `loops-cost` entries keep their cost fields.
+#[test]
+fn committed_bench_trajectories_keep_their_schema() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let mut files: Vec<String> = std::fs::read_dir(&root)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .filter(|name| name.starts_with("BENCH_") && name.ends_with(".json"))
+        .collect();
+    files.sort();
+    assert!(!files.is_empty(), "no BENCH_*.json trajectory files at the repository root");
+    for name in &files {
+        let text = std::fs::read_to_string(root.join(name)).unwrap();
+        let doc = Json::parse(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
+        let kind = |v: &Json| v.get("kind").and_then(Json::str).unwrap_or_default().to_string();
+        assert_eq!(doc.get("schema_version").and_then(Json::u64), Some(1), "{name}");
+        assert_eq!(kind(&doc), "bench-trajectory", "{name}");
+        let entries = doc.get("entries").expect("entries array").items();
+        assert!(entries.iter().any(|e| kind(e) == "bench"), "{name} has no bench summary");
+        for e in entries {
+            assert_eq!(e.get("schema_version").and_then(Json::u64), Some(1), "{name}");
+            let has = |v: &Json, keys: &[&str]| keys.iter().all(|k| v.get(k).is_some());
+            match kind(e).as_str() {
+                "bench" => {
+                    for w in e.get("workloads").expect("workloads").items() {
+                        for p in w.get("phases").expect("phases").items() {
+                            if has(p, &["min_ms"]) {
+                                assert!(has(p, &["max_ms", "avg_ms"]), "{name}: {p:?}");
+                            }
+                        }
+                    }
+                }
+                "observer-costs" => {
+                    assert!(has(e, &["baseline_ns_per_event"]), "{name}");
+                    for o in e.get("observers").expect("observers").items() {
+                        assert!(has(o, &["marginal_ns_per_event"]), "{name}");
+                    }
+                }
+                "loops-cost" => {
+                    assert!(has(e, &["probed_ns_per_event", "marginal_ns_per_event"]), "{name}");
+                }
+                other => panic!("{name}: unknown entry kind {other:?}"),
+            }
+        }
+    }
 }
 
 /// Metrics collection must not change a byte of table stdout, at any

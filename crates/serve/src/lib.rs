@@ -56,9 +56,10 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use instrep_asm::Image;
+use instrep_core::json::Json;
 use instrep_core::service::{
-    loops_json, metrics_json, profile_json, report_json, scale_windows, ErrorKind, Json,
-    ReportPayload, Request, RequestError, RequestSource, Response, ServiceError,
+    loops_json, metrics_json, profile_json, report_json, scale_windows, ErrorKind, ReportPayload,
+    Request, RequestError, RequestSource, Response, ServiceError,
 };
 use instrep_core::telemetry::{Counter, Gauge, Histogram};
 use instrep_core::{AnalysisCache, AnalysisConfig, Session, TelemetryRegistry};
@@ -428,11 +429,7 @@ fn handle_connection(mut stream: &UnixStream, tx: &SyncSender<WorkItem>, ctx: &A
 /// Best-effort id extraction from a line that failed full decoding, so
 /// even error responses correlate when the client sent a sane `id`.
 fn peek_id(line: &str) -> u64 {
-    Json::parse(line)
-        .ok()
-        .and_then(|doc| doc.get("id").and_then(Json::num))
-        .filter(|n| *n >= 0.0 && n.fract() == 0.0)
-        .map_or(0, |n| n as u64)
+    Json::parse(line).ok().and_then(|doc| doc.get("id").and_then(Json::u64)).unwrap_or(0)
 }
 
 /// Decodes, admission-controls, queues, and awaits one request.

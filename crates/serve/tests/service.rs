@@ -124,8 +124,7 @@ fn protocol_errors_leave_the_connection_usable() {
     }
 
     // An oversized line is discarded without reading it into memory...
-    let huge = format!(r#"{{"schema_version":1,"id":8,"source":"{}"}}"#, "x".repeat(8192));
-    c.send_line(&huge);
+    c.send_line(&Request::raw_source(8, &"x".repeat(8192)).encode());
     match Response::decode(&c.recv_line().unwrap()).unwrap() {
         Response::Error(e) => assert_eq!(e.kind, ErrorKind::Oversized),
         other => panic!("expected oversized, got {other:?}"),
@@ -153,6 +152,25 @@ fn nesting_bombs_are_bad_requests_and_the_daemon_keeps_serving() {
             assert!(e.message.contains("nesting deeper than"), "{}", e.message);
         }
         other => panic!("expected bad_request, got {other:?}"),
+    }
+
+    // Integer fields past their bounds: a top_k whose coverage vectors
+    // would not fit in memory, one that overflows a capacity, and a
+    // window that keeps a never-exiting source on its worker for good.
+    let top_k = |id, k| Request { top_k: Some(k), ..Request::workload(id, "compress") };
+    let hostile = [
+        ("top_k", top_k(30, 1_000_000_000_000)),
+        ("top_k", top_k(31, usize::MAX)),
+        ("window", slow(32, u64::MAX)),
+    ];
+    for (field, req) in hostile {
+        match c.roundtrip(&req) {
+            Response::Error(e) => {
+                assert_eq!((e.id, e.kind), (req.id, ErrorKind::BadRequest));
+                assert!(e.message.starts_with(field), "{}", e.message);
+            }
+            other => panic!("expected bad_request, got {other:?}"),
+        }
     }
 
     // MiniC nesting past the compiler's limit, compiled on a worker:

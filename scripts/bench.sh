@@ -9,19 +9,15 @@
 # Per-layer costs (each observer, each probe) are not derived here: the
 # benchmark under benchmark/ times every layer alone on one recorded
 # trace (`core.*_ns_per_event`). Older trajectory files carry
-# subtraction-based `observer-costs` and `loops-cost` entries; --check
-# still validates them where present.
+# subtraction-based `observer-costs` and `loops-cost` entries. The
+# instrep-repro CLI tests parse every committed trajectory file and
+# check its schema.
 #
 # Modes:
 #   scripts/bench.sh            run the benchmark and write BENCH_<date>.json
 #                               (suffixed b, c, ... if the date is taken —
 #                               re-benching after a perf change on the same
 #                               day must not overwrite the 'before' file)
-#   scripts/bench.sh --check    validate every committed BENCH_*.json
-#                               (schema version + kinds, and the
-#                               observer-costs/loops-cost fields where
-#                               those entries are present); non-zero on
-#                               drift
 #   scripts/bench.sh --concat   merge all BENCH_*.json, ordered by file
 #                               name (dates sort chronologically), into one
 #                               bench-history document on stdout
@@ -35,67 +31,6 @@ cd "$(dirname "$0")/.."
 # Trajectory files, oldest first (ISO dates in the name sort correctly).
 trajectory_files() {
     ls BENCH_*.json 2>/dev/null | LC_ALL=C sort
-}
-
-check_trajectories() {
-    local files status=0
-    files="$(trajectory_files)"
-    if [ -z "$files" ]; then
-        echo "no BENCH_*.json trajectory files to check"
-        return 0
-    fi
-    for f in $files; do
-        if ! grep -q '"schema_version": 1,' "$f"; then
-            echo "bench schema drift: expected schema_version 1 in $f" >&2
-            status=1
-        fi
-        if ! grep -q '"kind": "bench-trajectory",' "$f"; then
-            echo "bench schema drift: expected kind \"bench-trajectory\" in $f" >&2
-            status=1
-        fi
-        if ! grep -q '"kind": "bench",' "$f"; then
-            echo "bench schema drift: $f carries no per-scale bench summaries" >&2
-            status=1
-        fi
-        # Files benched since the repetition-tester upgrade carry
-        # min/max/avg beside median+IQR; where min_ms is present the
-        # other two must be too (older files legitimately predate them).
-        if grep -q '"min_ms":' "$f"; then
-            if ! grep -q '"max_ms":' "$f"; then
-                echo "bench schema drift: $f has min_ms but no max_ms" >&2
-                status=1
-            fi
-            if ! grep -q '"avg_ms":' "$f"; then
-                echo "bench schema drift: $f has min_ms but no avg_ms" >&2
-                status=1
-            fi
-        fi
-        # Files benched while the subtraction sweeps existed carry
-        # observer-costs and loops-cost entries; where one is present its
-        # fields must be intact.
-        if grep -q '"kind": "observer-costs",' "$f"; then
-            if ! grep -q '"baseline_ns_per_event":' "$f"; then
-                echo "bench schema drift: observer-costs entry in $f lacks baseline_ns_per_event" >&2
-                status=1
-            fi
-            if ! grep -q '"marginal_ns_per_event":' "$f"; then
-                echo "bench schema drift: observer-costs entry in $f lacks marginal_ns_per_event" >&2
-                status=1
-            fi
-        fi
-        if grep -q '"kind": "loops-cost",' "$f"; then
-            if ! grep -q '"probed_ns_per_event":' "$f"; then
-                echo "bench schema drift: loops-cost entry in $f lacks probed_ns_per_event" >&2
-                status=1
-            fi
-            if ! grep -q '"marginal_ns_per_event":' "$f"; then
-                echo "bench schema drift: loops-cost entry in $f lacks marginal_ns_per_event" >&2
-                status=1
-            fi
-        fi
-    done
-    [ "$status" -eq 0 ] && echo "bench trajectories OK ($(echo "$files" | wc -l) file(s))"
-    return "$status"
 }
 
 concat_trajectories() {
@@ -121,17 +56,13 @@ concat_trajectories() {
 }
 
 case "${1:-}" in
---check)
-    check_trajectories
-    exit
-    ;;
 --concat)
     concat_trajectories
     exit
     ;;
 "") ;;
 *)
-    echo "usage: scripts/bench.sh [--check | --concat]" >&2
+    echo "usage: scripts/bench.sh [--concat]" >&2
     exit 2
     ;;
 esac
