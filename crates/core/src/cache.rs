@@ -51,6 +51,7 @@
 
 use std::hash::Hasher;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use instrep_asm::Image;
 use instrep_sim::RunOutcome;
@@ -66,7 +67,7 @@ use crate::telemetry::{Counter, Histogram, TelemetryRegistry};
 /// or the codec change: the version participates in key derivation, so
 /// every pre-bump entry becomes unaddressable (a guaranteed miss)
 /// rather than a misdecoded report.
-pub const CACHE_SCHEMA_VERSION: u32 = 1;
+pub const CACHE_SCHEMA_VERSION: u32 = 2;
 
 /// Entry-file magic: "IRCACHE" plus a format byte.
 const MAGIC: [u8; 8] = *b"IRCACHE\x01";
@@ -80,6 +81,11 @@ const LANE_SALT: u64 = 0x6a09_e667_f3bc_c908;
 /// for the full layout). Exposed so tests can poison payload bytes
 /// surgically.
 pub const ENTRY_PAYLOAD_OFFSET: usize = 36;
+
+/// Sequence number for temp-file names, so that no two stores in this
+/// process (even of one key, from two threads) share a temp file. It
+/// orders nothing, so relaxed increments suffice.
+static STORE_SEQ: AtomicU64 = AtomicU64::new(0);
 
 /// A 128-bit content hash identifying one `(image, input, config)`
 /// analysis, at the current schema version.
@@ -307,7 +313,9 @@ impl AnalysisCache {
     /// Stores `report` under `key`, replacing any existing entry. The
     /// write is atomic (temp file + rename), so a concurrent reader
     /// sees either the old complete entry or the new one, never a torn
-    /// write.
+    /// write. Every store writes its own temp file (pid plus a
+    /// process-wide sequence number), so concurrent stores of one key
+    /// each rename a complete file into place.
     ///
     /// # Errors
     ///
@@ -316,9 +324,15 @@ impl AnalysisCache {
     pub fn store(&self, key: &CacheKey, report: &WorkloadReport) -> std::io::Result<()> {
         let timer = self.telemetry.as_ref().map(|_| PhaseTimer::start());
         let bytes = entry_bytes(key, &encode_report(report));
-        let tmp = self.dir.join(format!(".tmp-{}-{:016x}", std::process::id(), key.lo));
-        std::fs::write(&tmp, &bytes)?;
-        let result = std::fs::rename(&tmp, self.entry_path(key));
+        let seq = STORE_SEQ.fetch_add(1, Ordering::Relaxed);
+        // Fixed width: every store's name, and so its allocation count,
+        // has the same length.
+        let tmp = self.dir.join(format!(".tmp-{}-{seq:016x}", std::process::id()));
+        let result =
+            std::fs::write(&tmp, &bytes).and_then(|()| std::fs::rename(&tmp, self.entry_path(key)));
+        if result.is_err() {
+            std::fs::remove_file(&tmp).ok();
+        }
         if let (Some(t), Some(timer)) = (&self.telemetry, timer) {
             t.write_ns.record(timer.elapsed_ns());
             if result.is_ok() {
@@ -405,11 +419,11 @@ pub(crate) fn encode_report(r: &WorkloadReport) -> Vec<u8> {
     e.u64(r.static_repeated as u64);
     e.u64(r.unique_repeatable);
     e.f64(r.avg_repeats);
-    e.u64s(r.static_coverage.weights());
+    e.coverage(&r.static_coverage);
     for v in &r.instance_histogram {
         e.f64(*v);
     }
-    e.u64s(r.instance_coverage.weights());
+    e.coverage(&r.instance_coverage);
     for v in r.global.overall.iter().chain(&r.global.repeated) {
         e.u64(*v);
     }
@@ -464,12 +478,12 @@ pub(crate) fn decode_report(payload: &[u8]) -> Option<WorkloadReport> {
     let static_repeated = usize::try_from(d.u64()?).ok()?;
     let unique_repeatable = d.u64()?;
     let avg_repeats = d.f64()?;
-    let static_coverage = Coverage::new(d.u64s()?);
+    let static_coverage = d.coverage()?;
     let mut instance_histogram = [0.0f64; 5];
     for slot in &mut instance_histogram {
         *slot = d.f64()?;
     }
-    let instance_coverage = Coverage::new(d.u64s()?);
+    let instance_coverage = d.coverage()?;
     let mut global = crate::GlobalCounts::default();
     for slot in global.overall.iter_mut().chain(&mut global.repeated) {
         *slot = d.u64()?;
@@ -573,10 +587,12 @@ impl Enc {
         self.buf.extend_from_slice(v.as_bytes());
     }
 
-    fn u64s(&mut self, vs: &[u64]) {
-        self.u64(vs.len() as u64);
-        for v in vs {
-            self.u64(*v);
+    /// A coverage curve as its `(weight, count)` runs.
+    fn coverage(&mut self, c: &Coverage) {
+        self.u64(c.runs().len() as u64);
+        for &(weight, count) in c.runs() {
+            self.u64(weight);
+            self.u64(count);
         }
     }
 
@@ -637,9 +653,11 @@ impl<'a> Dec<'a> {
         String::from_utf8(self.take(n)?.to_vec()).ok()
     }
 
-    fn u64s(&mut self) -> Option<Vec<u64>> {
-        let n = self.len(8)?;
-        (0..n).map(|_| self.u64()).collect()
+    /// A coverage curve's runs, checked by [`Coverage::from_runs`].
+    fn coverage(&mut self) -> Option<Coverage> {
+        let n = self.len(16)?;
+        let runs = (0..n).map(|_| Some((self.u64()?, self.u64()?))).collect::<Option<_>>()?;
+        Coverage::from_runs(runs)
     }
 
     fn f64s(&mut self) -> Option<Vec<f64>> {
@@ -703,6 +721,117 @@ mod tests {
         let mut long = payload.clone();
         long.push(0);
         assert!(decode_report(&long).is_none());
+        // A damaged byte anywhere either misses or decodes canonically:
+        // never to a report that encodes to other bytes (a coverage curve
+        // out of run order, say).
+        for at in 0..payload.len() {
+            for mask in [0x01, 0xff] {
+                let mut flipped = payload.clone();
+                flipped[at] ^= mask;
+                if let Some(r) = decode_report(&flipped) {
+                    assert_eq!(encode_report(&r), flipped, "flip {mask:#x} at {at}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn payload_bytes_are_pinned() {
+        // Any change to these bytes is a layout change: it must update
+        // this pin and bump CACHE_SCHEMA_VERSION, so that old entries
+        // miss instead of misdecoding.
+        assert_eq!(CACHE_SCHEMA_VERSION, 2);
+        let report = WorkloadReport {
+            outcome: RunOutcome::Exited(3),
+            dynamic_total: 10,
+            dynamic_repeated: 6,
+            static_total: 5,
+            static_executed: 4,
+            static_repeated: 2,
+            unique_repeatable: 3,
+            avg_repeats: 2.0,
+            static_coverage: Coverage::new(vec![2, 4]),
+            instance_histogram: [0.5, 0.5, 0.0, 0.0, 0.0],
+            instance_coverage: Coverage::new(vec![1, 2, 1, 2]),
+            global: crate::GlobalCounts::default(),
+            funcs_called: 1,
+            dynamic_calls: 2,
+            all_arg_rate: 0.5,
+            no_arg_rate: 0.0,
+            pure_rate: 1.0,
+            pure_all_arg_rate: 0.5,
+            argset_coverage: vec![1.0],
+            local: crate::LocalCounts::default(),
+            prologue_top: vec![("main".into(), 2, 1)],
+            prologue_coverage: 0.25,
+            load_value_coverage: Vec::new(),
+            reuse: crate::ReuseStats::default(),
+            classes: crate::ClassCounts::default(),
+            predict: crate::PredictStats::default(),
+            stride: crate::StrideStats::default(),
+        };
+        let zeros = |n: usize| "00".repeat(n);
+        let expect = [
+            // Outcome: Exited(3).
+            "00",
+            "03000000",
+            // Dynamic total and repeated; static total, executed and
+            // repeated; unique repeatable; average repeats (2.0).
+            "0a00000000000000",
+            "0600000000000000",
+            "0500000000000000",
+            "0400000000000000",
+            "0200000000000000",
+            "0300000000000000",
+            "0000000000000040",
+            // Static coverage: two runs, (4, 1) and (2, 1).
+            "0200000000000000",
+            "0400000000000000",
+            "0100000000000000",
+            "0200000000000000",
+            "0100000000000000",
+            // Instance histogram: 0.5, 0.5, 0, 0, 0.
+            "000000000000e03f",
+            "000000000000e03f",
+            &zeros(24),
+            // Instance coverage: two runs, (2, 2) and (1, 2).
+            "0200000000000000",
+            "0200000000000000",
+            "0200000000000000",
+            "0100000000000000",
+            "0200000000000000",
+            // Global counts.
+            &zeros(64),
+            // Functions called, dynamic calls, then the all-arg, no-arg,
+            // pure and pure-all-arg rates.
+            "0100000000000000",
+            "0200000000000000",
+            "000000000000e03f",
+            "0000000000000000",
+            "000000000000f03f",
+            "000000000000e03f",
+            // Argument-set coverage: [1.0].
+            "0100000000000000",
+            "000000000000f03f",
+            // Local counts.
+            &zeros(160),
+            // Prologue top: [("main", 2, 1)], then its coverage (0.25).
+            "0100000000000000",
+            "0400000000000000",
+            "6d61696e",
+            "02000000",
+            "0100000000000000",
+            "000000000000d03f",
+            // Load-value coverage: [].
+            "0000000000000000",
+            // Reuse, class, last-value and stride counts.
+            &zeros(40 + 96 + 24 + 16),
+        ]
+        .concat();
+        let payload = encode_report(&report);
+        let hex: String = payload.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex, expect);
+        assert_eq!(format!("{:?}", decode_report(&payload)), format!("{:?}", Some(report)));
     }
 
     #[test]
@@ -844,6 +973,50 @@ mod tests {
         assert_eq!(lookup.1.count, 3, "every load records a lookup latency");
         let write = snap.hists.iter().find(|(n, _)| n == "cache_write_ns").unwrap();
         assert_eq!(write.1.count, 1);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn concurrent_stores_of_one_key_all_succeed_and_never_tear() {
+        // Two workers storing the same cold key at once, as two daemon
+        // workers racing on one request do, while a third loads it.
+        let dir = tmp_dir("race");
+        let mut cache = AnalysisCache::open(&dir).unwrap();
+        let registry = TelemetryRegistry::new();
+        cache.attach_telemetry(&registry);
+        let (image, cfg, report) = sample();
+        let key = CacheKey::derive(&image, &[], &cfg);
+        let (cache, report) = (&cache, &report);
+        let together = std::sync::Barrier::new(2);
+        let stored = std::sync::atomic::AtomicBool::new(false);
+        let failed: usize = std::thread::scope(|s| {
+            let storers: Vec<_> = (0..2)
+                .map(|_| {
+                    s.spawn(|| {
+                        (0..300)
+                            .filter(|_| {
+                                together.wait();
+                                cache.store(&key, report).is_err()
+                            })
+                            .count()
+                    })
+                })
+                .collect();
+            s.spawn(|| {
+                while !stored.load(Ordering::SeqCst) {
+                    cache.load(&key);
+                }
+            });
+            let failed = storers.into_iter().map(|h| h.join().unwrap()).sum();
+            stored.store(true, Ordering::SeqCst);
+            failed
+        });
+        assert_eq!(failed, 0, "stores of one key must not collide");
+        assert_eq!(registry.counter("cache_corrupt_miss").get(), 0, "a load saw a torn entry");
+        assert_eq!(registry.counter("cache_store").get(), 600);
+        let files = std::fs::read_dir(&dir).unwrap().count();
+        assert_eq!(files, 1, "only the entry remains, no temp files");
+        assert!(cache.load(&key).is_some());
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -32,6 +32,36 @@ fn arb_events() -> impl Strategy<Value = Vec<Event>> {
         .prop_map(|v| v.into_iter().map(|(i, a, b, o)| ev(i, a, b, o)).collect())
 }
 
+/// Figure 1/4 by definition: the share of the total held by the
+/// heaviest `round(fraction × n)` items of the descending `sorted`.
+fn naive_coverage_at(sorted: &[u64], item_fraction: f64) -> f64 {
+    let total: u64 = sorted.iter().sum();
+    if total == 0 || sorted.is_empty() {
+        return 0.0;
+    }
+    let k = ((item_fraction * sorted.len() as f64).round() as usize).min(sorted.len());
+    sorted[..k].iter().sum::<u64>() as f64 / total as f64
+}
+
+/// The fewest heaviest items whose running sum reaches
+/// `weight_fraction` of the total, as a fraction of all items, found by
+/// adding one item at a time.
+fn naive_items_needed(sorted: &[u64], weight_fraction: f64) -> f64 {
+    let total: u64 = sorted.iter().sum();
+    if total == 0 || sorted.is_empty() {
+        return 1.0;
+    }
+    let target = weight_fraction * total as f64;
+    let mut acc = 0u64;
+    for (i, w) in sorted.iter().enumerate() {
+        acc += w;
+        if acc as f64 >= target {
+            return (i + 1) as f64 / sorted.len() as f64;
+        }
+    }
+    1.0
+}
+
 proptest! {
     #[test]
     fn tracker_matches_naive_model(events in arb_events()) {
@@ -148,10 +178,25 @@ proptest! {
     }
 
     #[test]
-    fn coverage_is_sound(weights in proptest::collection::vec(0u64..1000, 1..100)) {
+    fn coverage_is_sound(weights in proptest::collection::vec(0u64..8, 0..=2000)) {
         let cov = Coverage::new(weights.clone());
         let total: u64 = weights.iter().sum();
         prop_assert_eq!(cov.total(), total);
+        prop_assert_eq!(cov.len(), weights.len());
+        // The run queries give exactly the per-item definition's answers.
+        let mut sorted = weights.clone();
+        sorted.sort_unstable_by(|a, b| b.cmp(a));
+        for i in 0..=10 {
+            let x = i as f64 / 10.0;
+            let (got, want) = (cov.coverage_at(x), naive_coverage_at(&sorted, x));
+            prop_assert_eq!(got.to_bits(), want.to_bits(), "coverage_at({}): {} vs {}", x, got, want);
+        }
+        let report_targets = [0.5, 0.75, 0.9, 0.99];
+        let sweep = (0..=200).map(|i| i as f64 / 200.0);
+        for target in report_targets.into_iter().chain(sweep) {
+            let (got, want) = (cov.items_needed(target), naive_items_needed(&sorted, target));
+            prop_assert_eq!(got.to_bits(), want.to_bits(), "items_needed({}): {} vs {}", target, got, want);
+        }
         // coverage_at is monotone in the item fraction.
         let mut prev = 0.0;
         for i in 0..=10 {

@@ -108,6 +108,15 @@ ls "$CACHE_DIR"/*.bin >/dev/null 2>&1 || {
     echo "cold --cache-dir run stored no cache entries" >&2
     exit 1
 }
+# Coverage curves are stored as (weight, count) runs: this entry is a
+# few KB, against ~180 KB when every instance's weight was stored.
+for f in "$CACHE_DIR"/*.bin; do
+    SIZE=$(wc -c <"$f")
+    [ "$SIZE" -le 16384 ] || {
+        echo "cache entry $f is $SIZE bytes, over the 16 KiB bound" >&2
+        exit 1
+    }
+done
 target/debug/instrep-repro --scale tiny --only compress --table 1 \
     --jobs 2 --cache-dir "$CACHE_DIR" \
     --metrics-out "$SMOKE_DIR/warm-metrics.json" >"$SMOKE_DIR/warm.txt"
