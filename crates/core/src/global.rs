@@ -206,7 +206,7 @@ impl GlobalAnalysis {
         GlobalAnalysis {
             regs,
             meta,
-            mem: ShadowPages::new(),
+            mem: ShadowPages::default(),
             shadow_count: 0,
             init_ranges: image.init_ranges.clone(),
             counts: GlobalCounts::default(),

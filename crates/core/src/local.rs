@@ -324,7 +324,7 @@ impl LocalAnalysis {
         LocalAnalysis {
             tags: [SrcTag::FnInternal; 32],
             gaddr: 0,
-            stack_tags: ShadowPages::new(),
+            stack_tags: ShadowPages::default(),
             stack_tag_count: 0,
             frames: vec![LocalFrame { func: None, unwritten: 0, saved_slots: Vec::new() }],
             counts: LocalCounts::default(),

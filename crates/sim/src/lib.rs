@@ -42,6 +42,6 @@ mod trace;
 pub use error::SimError;
 pub use event::{CtrlEffect, Event, MemEffect};
 pub use machine::{Machine, MachineFootprint, RunOutcome};
-pub use mem::Memory;
+pub use mem::{Memory, PageTable};
 pub use predecode::InterpTier;
 pub use trace::{RecordError, Trace};
