@@ -22,6 +22,13 @@
 //! never be addressed again, and a store over a stale same-named file
 //! replaces it).
 //!
+//! The image comes first, so both lanes' state after it can be kept:
+//! [`ImageKey::of`] hashes the version and the image once, and
+//! [`ImageKey::key`] finishes the lanes with an input and a config. The
+//! key is the same one `derive` computes, bit for bit; a caller that
+//! keys many jobs on one image (the daemon's memoized workloads) hashes
+//! the image once instead of once per job.
+//!
 //! # On-disk entry layout
 //!
 //! ```text
@@ -72,7 +79,7 @@ pub const CACHE_SCHEMA_VERSION: u32 = 2;
 /// Entry-file magic: "IRCACHE" plus a format byte.
 const MAGIC: [u8; 8] = *b"IRCACHE\x01";
 
-/// Salt for the second hash lane of [`CacheKey::derive`] (an arbitrary
+/// Salt for the second hash lane of [`ImageKey::of`] (an arbitrary
 /// odd constant; it only needs to differ from the first lane's zero
 /// initial state).
 const LANE_SALT: u64 = 0x6a09_e667_f3bc_c908;
@@ -114,13 +121,53 @@ pub struct CacheKey {
 impl CacheKey {
     /// Derives the key for one analysis from everything that determines
     /// its result: the image content, the input stream, the analysis
-    /// configuration, and [`CACHE_SCHEMA_VERSION`].
+    /// configuration, and [`CACHE_SCHEMA_VERSION`]. The same as
+    /// `ImageKey::of(image).key(input, cfg)`.
     pub fn derive(image: &Image, input: &[u8], cfg: &AnalysisConfig) -> CacheKey {
+        ImageKey::of(image).key(input, cfg)
+    }
+}
+
+/// The image half of a [`CacheKey`]: both hash lanes after
+/// [`CACHE_SCHEMA_VERSION`] and every image field, ready to be finished
+/// with an input and a config (see the module docs).
+///
+/// # Examples
+///
+/// ```
+/// use instrep_core::{AnalysisConfig, CacheKey, ImageKey};
+///
+/// let image = instrep_minicc::build("int main() { return 0; }")?;
+/// let cfg = AnalysisConfig::default();
+/// let half = ImageKey::of(&image);
+/// for input in [&[][..], &[1, 2, 3]] {
+///     assert_eq!(half.key(input, &cfg), CacheKey::derive(&image, input, &cfg));
+/// }
+/// # Ok::<(), Box<dyn std::error::Error>>(())
+/// ```
+#[derive(Debug, Clone, Copy)]
+pub struct ImageKey {
+    hi: FxHasher,
+    lo: FxHasher,
+}
+
+impl ImageKey {
+    /// Hashes the schema version and `image` into both lanes.
+    pub fn of(image: &Image) -> ImageKey {
         let mut hi = FxHasher::default();
         let mut lo = FxHasher::default();
         lo.write_u64(LANE_SALT);
-        feed(&mut hi, image, input, cfg);
-        feed(&mut lo, image, input, cfg);
+        feed_image(&mut hi, image);
+        feed_image(&mut lo, image);
+        ImageKey { hi, lo }
+    }
+
+    /// The key of one analysis of this image: the lanes finished with
+    /// `input` and `cfg`.
+    pub fn key(&self, input: &[u8], cfg: &AnalysisConfig) -> CacheKey {
+        let (mut hi, mut lo) = (self.hi, self.lo);
+        feed_job(&mut hi, input, cfg);
+        feed_job(&mut lo, input, cfg);
         CacheKey { hi: hi.finish(), lo: lo.finish() }
     }
 }
@@ -131,9 +178,10 @@ impl std::fmt::Display for CacheKey {
     }
 }
 
-/// Feeds one hash lane everything that determines an analysis result.
-/// Length prefixes keep adjacent variable-length sections from aliasing.
-fn feed<H: Hasher>(h: &mut H, image: &Image, input: &[u8], cfg: &AnalysisConfig) {
+/// Feeds one hash lane the schema version and every image field an
+/// analysis reads. Length prefixes keep adjacent variable-length
+/// sections from aliasing.
+fn feed_image<H: Hasher>(h: &mut H, image: &Image) {
     h.write_u32(CACHE_SCHEMA_VERSION);
     h.write_u64(image.text.len() as u64);
     for w in &image.text {
@@ -159,6 +207,11 @@ fn feed<H: Hasher>(h: &mut H, image: &Image, input: &[u8], cfg: &AnalysisConfig)
         h.write_u32(fm.end);
         h.write_u8(fm.arity);
     }
+}
+
+/// Feeds one hash lane, after [`feed_image`], the rest of what
+/// determines an analysis result: the input stream and the config.
+fn feed_job<H: Hasher>(h: &mut H, input: &[u8], cfg: &AnalysisConfig) {
     h.write_u64(input.len() as u64);
     h.write(input);
     h.write_u64(cfg.tracker.max_instances as u64);
@@ -845,6 +898,67 @@ mod tests {
         assert_ne!(base, CacheKey::derive(&image, &[], &other_cfg), "config changes key");
         let other_image = build("int main() { return 1; }").unwrap();
         assert_ne!(base, CacheKey::derive(&other_image, &[], &cfg), "image changes key");
+    }
+
+    /// A small image built by hand, so its key does not depend on the
+    /// compiler or the assembler.
+    fn pinned_image() -> Image {
+        Image {
+            text: vec![0x2402_0007, 0x0000_000c, 0x03e0_0008],
+            lines: vec![1, 1, 2],
+            data: b"repetition".to_vec(),
+            init_ranges: vec![0x1000_0000..0x1000_0004, 0x1000_0008..0x1000_000a],
+            entry: 0x0040_0000,
+            funcs: vec![instrep_asm::FuncMeta {
+                name: "main".into(),
+                entry: 0x0040_0000,
+                end: 0x0040_000c,
+                arity: 2,
+            }],
+            ..Image::default()
+        }
+    }
+
+    #[test]
+    fn keys_keep_their_bits() {
+        // Every entry on disk is named by this hash. A change to these
+        // bits orphans every entry ever written, so it must come with a
+        // CACHE_SCHEMA_VERSION bump, never by accident.
+        let key = CacheKey::derive(&pinned_image(), b"input", &AnalysisConfig::default());
+        assert_eq!((key.hi, key.lo), (0x108f_5053_9f67_d64a, 0x6099_07df_24b9_3cb5));
+        assert_eq!(key.to_string(), "108f50539f67d64a609907df24b93cb5");
+    }
+
+    #[test]
+    fn image_key_finishes_to_the_derived_key() {
+        let image = pinned_image();
+        let half = ImageKey::of(&image);
+        let base = AnalysisConfig::default();
+        let mut cfgs = vec![base];
+        let mut cfg = base;
+        cfg.tracker.max_instances += 1;
+        cfgs.push(cfg);
+        let mut cfg = base;
+        cfg.reuse.entries *= 2;
+        cfgs.push(cfg);
+        let mut cfg = base;
+        cfg.reuse.ways *= 2;
+        cfgs.push(cfg);
+        cfgs.push(AnalysisConfig { skip: base.skip + 1, ..base });
+        cfgs.push(AnalysisConfig { window: base.window / 2, ..base });
+        cfgs.push(AnalysisConfig { top_k: base.top_k + 1, ..base });
+        let mut keys = Vec::new();
+        for cfg in &cfgs {
+            for input in [&b""[..], b"x", b"123456789"] {
+                let key = CacheKey::derive(&image, input, cfg);
+                assert_eq!(half.key(input, cfg), key, "input {input:?}, {cfg:?}");
+                keys.push(key);
+            }
+        }
+        // Every config field and every input reaches the key.
+        keys.sort_by_key(|k| (k.hi, k.lo));
+        keys.dedup();
+        assert_eq!(keys.len(), cfgs.len() * 3);
     }
 
     #[test]

@@ -103,7 +103,7 @@ pub mod telemetry;
 pub mod trace_span;
 mod tracker;
 
-pub use cache::{AnalysisCache, CacheKey, CACHE_SCHEMA_VERSION, ENTRY_PAYLOAD_OFFSET};
+pub use cache::{AnalysisCache, CacheKey, ImageKey, CACHE_SCHEMA_VERSION, ENTRY_PAYLOAD_OFFSET};
 pub use classes::{ClassAnalysis, ClassCounts, InsnClass};
 pub use coverage::Coverage;
 pub use function::{FuncStats, FunctionAnalysis};

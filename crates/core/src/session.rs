@@ -55,6 +55,14 @@
 //! [`CacheOutcome::Uncached`]): entries store only the report, and a
 //! hit that silently dropped the requested time series or profile
 //! would be worse than a recomputation.
+//!
+//! A caller that already holds a job's key (derived from a kept
+//! [`ImageKey`](crate::ImageKey), say) can split the job in two:
+//! [`Session::lookup`] answers a hit from the cache alone, and
+//! [`Session::run_missed`] runs a job whose lookup missed, storing
+//! under the same key without deriving it or reading the cache again.
+//! Both go through the code `run` uses, so a hit or a stored entry is
+//! the same whichever way the job came.
 
 use instrep_asm::Image;
 use instrep_sim::{InterpTier, SimError};
@@ -65,6 +73,7 @@ use crate::loops::LoopProfiler;
 use crate::metrics::{PhaseTimer, WorkloadMetrics};
 use crate::pipeline::{
     parallel_map_indexed, run_probed, AnalysisConfig, AnalysisJob, InstrumentedReport, Probes,
+    WorkloadReport,
 };
 use crate::profile::InstructionProfile;
 use crate::telemetry::{LanePhase, PipelineTelemetry, TelemetryRegistry};
@@ -231,6 +240,47 @@ impl<'t> Session<'t> {
         self
     }
 
+    /// The cache a job consults: the attached one, unless the probe set
+    /// bypasses it (see the module docs).
+    fn job_cache(&self) -> Option<&'t AnalysisCache> {
+        self.cache.filter(|_| self.interval.is_none() && !self.profile && !self.loops)
+    }
+
+    /// Looks `key` up as [`Session::run`] does before it simulates a
+    /// job with that key, and answers the hit `run` would return: the
+    /// stored report, outcome [`CacheOutcome::Hit`], and with
+    /// [`Session::metrics`] one `"cache"` phase. `None` when no entry
+    /// loads, and without reading the cache when none is attached, the
+    /// probe set bypasses it, or [`Session::cache_verify`] is on (every
+    /// hit is then recomputed, which only a run can do). A lookup is not
+    /// a job: the tracer and the telemetry registry record nothing for
+    /// it.
+    pub fn lookup(&self, key: &CacheKey) -> Option<InstrumentedReport> {
+        let cache = self.job_cache().filter(|_| !self.verify)?;
+        let mut m = self.metrics.then(WorkloadMetrics::default);
+        let report = cache_phase(m.as_mut(), None, None, || cache.load(key))?;
+        Some(hit(report, m))
+    }
+
+    /// Runs one job whose [`Session::lookup`] of `key` found nothing:
+    /// simulates it and stores the report under `key` (outcome
+    /// [`CacheOutcome::Miss`]), deriving no key and reading no entry, so
+    /// its metrics have no `"cache"` phase. The caller vouches that `key`
+    /// is the job's. In verify mode, where `lookup` reads nothing, the
+    /// entry is read here and compared as [`Session::run`] does.
+    ///
+    /// # Errors
+    ///
+    /// Propagates simulator traps ([`SimError`]), as
+    /// [`Session::run_one`] does.
+    pub fn run_missed(
+        self,
+        job: AnalysisJob<'_>,
+        key: CacheKey,
+    ) -> Result<InstrumentedReport, SimError> {
+        self.run_keyed(vec![(job, Some(key))]).pop().expect("one job in, one result out")
+    }
+
     /// Runs every job, returning results **in job order** regardless of
     /// scheduling. Reports are byte-identical to an unprobed, uncached
     /// run for every thread count — probes observe, the cache memoizes,
@@ -241,6 +291,19 @@ impl<'t> Session<'t> {
     /// Each slot carries its own simulator outcome; one trapped
     /// workload does not poison the others.
     pub fn run(self, jobs: Vec<AnalysisJob<'_>>) -> Vec<Result<InstrumentedReport, SimError>> {
+        self.run_keyed(jobs.into_iter().map(|job| (job, None)).collect())
+    }
+
+    /// [`Session::run`], where a job paired with a key has already been
+    /// looked up under it and missed ([`Session::run_missed`]).
+    fn run_keyed(
+        self,
+        jobs: Vec<(AnalysisJob<'_>, Option<CacheKey>)>,
+    ) -> Vec<Result<InstrumentedReport, SimError>> {
+        // Entries store only the report; serving a hit that silently
+        // dropped a requested time series or profile would be wrong, so
+        // those probe sets bypass the cache entirely.
+        let cache = self.job_cache();
         let Session {
             cfg,
             threads,
@@ -249,15 +312,11 @@ impl<'t> Session<'t> {
             profile,
             loops,
             mut tracer,
-            cache,
+            cache: _,
             telemetry,
             verify,
             tier,
         } = self;
-        // Entries store only the report; serving a hit that silently
-        // dropped a requested time series or profile would be wrong, so
-        // those probe sets bypass the cache entirely.
-        let cache = if interval.is_some() || profile || loops { None } else { cache };
         let epoch = tracer.as_ref().map(|t| t.epoch());
 
         // Telemetry handles, interned up front (one mutex pass): one
@@ -285,7 +344,7 @@ impl<'t> Session<'t> {
             r.counter("session_jobs_submitted").add(jobs.len() as u64);
         }
 
-        let results = parallel_map_indexed(jobs, threads, |worker, job| {
+        let results = parallel_map_indexed(jobs, threads, |worker, (job, missed)| {
             let tel = lanes.get(worker);
             if let Some(c) = &runs_started {
                 c.inc();
@@ -298,25 +357,17 @@ impl<'t> Session<'t> {
             }
             let job_span = lane.as_mut().map(|l| l.begin());
 
-            // Cache lookup, timed as its own pipeline phase.
-            let mut key = None;
+            // Cache lookup, timed as its own pipeline phase. A job whose
+            // key already missed skips it, unless verify mode needs the
+            // entry that lookup did not read.
+            let mut key = missed;
             let mut cached = None;
-            if let Some(cache) = cache {
-                let timer = m.as_ref().map(|_| PhaseTimer::start());
-                let span = lane.as_mut().map(|l| l.begin());
-                let lt = tel.map(|t| t.begin(LanePhase::Cache));
-                let k = CacheKey::derive(job.image, &job.input, &cfg);
-                cached = cache.load(&k);
-                key = Some(k);
-                if let Some(m) = m.as_mut() {
-                    m.record_phase("cache", timer.expect("timer started with metrics"), 0);
-                }
-                if let Some(l) = lane.as_mut() {
-                    l.end(span.expect("span opened with lane"), "cache", "phase", 0);
-                }
-                if let Some(t) = tel {
-                    t.end(LanePhase::Cache, lt.expect("telemetry timer started"));
-                }
+            if let Some(cache) = cache.filter(|_| missed.is_none() || verify) {
+                cached = cache_phase(m.as_mut(), lane.as_mut(), tel, || {
+                    let k =
+                        *key.get_or_insert_with(|| CacheKey::derive(job.image, &job.input, &cfg));
+                    cache.load(&k)
+                });
             }
 
             if let Some(report) = cached.take_if(|_| !verify) {
@@ -333,15 +384,7 @@ impl<'t> Session<'t> {
                 if let Some(c) = &runs_finished {
                     c.inc();
                 }
-                let instrumented = InstrumentedReport {
-                    report,
-                    metrics: m,
-                    intervals: None,
-                    profile: None,
-                    loops: None,
-                    cache: CacheOutcome::Hit,
-                };
-                return (Ok(instrumented), lane.map(SpanLane::into_spans));
+                return (Ok(hit(report, m)), lane.map(SpanLane::into_spans));
             }
 
             let mut sampler = interval.map(IntervalSampler::new);
@@ -441,6 +484,42 @@ impl<'t> Session<'t> {
         self.run(vec![AnalysisJob { image, input, label: "" }])
             .pop()
             .expect("one job in, one result out")
+    }
+}
+
+/// Runs `load`, timed as a job's `"cache"` phase in each probe that is
+/// on.
+fn cache_phase<R>(
+    m: Option<&mut WorkloadMetrics>,
+    mut lane: Option<&mut SpanLane>,
+    tel: Option<&PipelineTelemetry>,
+    load: impl FnOnce() -> R,
+) -> R {
+    let timer = m.as_ref().map(|_| PhaseTimer::start());
+    let span = lane.as_mut().map(|l| l.begin());
+    let lt = tel.map(|t| t.begin(LanePhase::Cache));
+    let loaded = load();
+    if let Some(m) = m {
+        m.record_phase("cache", timer.expect("timer started with metrics"), 0);
+    }
+    if let Some(l) = lane {
+        l.end(span.expect("span opened with lane"), "cache", "phase", 0);
+    }
+    if let Some(t) = tel {
+        t.end(LanePhase::Cache, lt.expect("telemetry timer started"));
+    }
+    loaded
+}
+
+/// A pure hit: the stored report, and the metrics of its lookup.
+fn hit(report: WorkloadReport, metrics: Option<WorkloadMetrics>) -> InstrumentedReport {
+    InstrumentedReport {
+        report,
+        metrics,
+        intervals: None,
+        profile: None,
+        loops: None,
+        cache: CacheOutcome::Hit,
     }
 }
 
@@ -598,6 +677,60 @@ mod tests {
         let verified = s.run_one(&image, Vec::new()).unwrap();
         assert_eq!(verified.cache, CacheOutcome::VerifyMismatch);
         assert_ne!(verified.report.dynamic_repeated, poisoned.dynamic_repeated);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn lookup_and_run_missed_split_a_cached_run() {
+        let (dir, mut cache) = tmp_cache("split");
+        let registry = TelemetryRegistry::new();
+        cache.attach_telemetry(&registry);
+        let counter = |name: &str| registry.counter(name).get();
+        let image = small_image();
+        let cfg = AnalysisConfig::default();
+        let key = CacheKey::derive(&image, &[], &cfg);
+        let job = || AnalysisJob { image: &image, input: Vec::new(), label: "" };
+        let phases = |ir: &InstrumentedReport| -> Vec<&'static str> {
+            ir.metrics.as_ref().unwrap().phases.iter().map(|p| p.name).collect()
+        };
+
+        // Cold: the lookup reads once and misses; the run stores under
+        // the caller's key without reading again.
+        let session = Session::new(cfg).metrics(true).cache(&cache);
+        assert!(session.lookup(&key).is_none());
+        let cold = session.run_missed(job(), key).unwrap();
+        assert_eq!(cold.cache, CacheOutcome::Miss);
+        assert_eq!(phases(&cold), ["setup", "skip", "measure", "finalize"]);
+        assert_eq!(
+            (counter("cache_miss"), counter("cache_hit"), counter("cache_store")),
+            (1, 0, 1)
+        );
+
+        // Warm: the lookup alone answers, as `run` would.
+        let warm = Session::new(cfg).metrics(true).cache(&cache).lookup(&key).unwrap();
+        assert_eq!(warm.cache, CacheOutcome::Hit);
+        assert_eq!(phases(&warm), ["cache"]);
+        assert_eq!(format!("{:?}", warm.report), format!("{:?}", cold.report));
+        let run = Session::new(cfg).cache(&cache).run_one(&image, Vec::new()).unwrap();
+        assert_eq!(run.cache, CacheOutcome::Hit);
+        assert_eq!(format!("{:?}", run.report), format!("{:?}", cold.report));
+        assert_eq!(counter("cache_hit"), 2);
+
+        // No lookup without a cache to consult: none attached, a probe
+        // set that bypasses it, or verify mode. A job run after such a
+        // lookup reads the entry only to verify it.
+        assert!(Session::new(cfg).lookup(&key).is_none());
+        assert!(Session::new(cfg).cache(&cache).profile(true).lookup(&key).is_none());
+        let verify = Session::new(cfg).cache(&cache).cache_verify(true);
+        assert!(verify.lookup(&key).is_none());
+        assert_eq!(counter("cache_hit"), 2, "only a lookup that can answer reads the cache");
+        assert_eq!(verify.run_missed(job(), key).unwrap().cache, CacheOutcome::VerifyOk);
+        let bypass = Session::new(cfg).cache(&cache).loops(true).run_missed(job(), key).unwrap();
+        assert_eq!(bypass.cache, CacheOutcome::Uncached);
+        assert_eq!(
+            (counter("cache_hit"), counter("cache_miss"), counter("cache_store")),
+            (3, 1, 1)
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -17,15 +17,19 @@
 //! * **Bounded queue with explicit backpressure.** At most
 //!   [`ServeConfig::queue`] requests wait for a worker; when the queue
 //!   is full the daemon answers `overloaded` with a `retry_after_ms`
-//!   hint instead of buffering without bound.
+//!   hint instead of buffering without bound. The queue bounds work
+//!   that compiles or simulates: a request for a built workload that
+//!   asks for the report alone is looked up on its connection's thread,
+//!   and a hit is answered there without a worker (`DESIGN.md` §17.2).
 //! * **Per-request wall-clock timeouts.** Every request gets
 //!   [`ServeConfig::timeout`] from the moment it is accepted onto the
 //!   queue. A request still queued at its deadline is abandoned without
 //!   running; one that finishes after its client gave up has its result
 //!   dropped (the simulation itself is never killed mid-flight — see
 //!   `DESIGN.md` §17.3). Either way the lane comes back clean.
-//! * **One shared cache, many clients.** Workers derive the same
-//!   content-addressed keys as the CLI; the cache's temp+rename write
+//! * **One shared cache, many clients.** The daemon derives the same
+//!   content-addressed keys as the CLI, hashing each built workload's
+//!   image once ([`ImageKey`]); the cache's temp+rename write
 //!   discipline makes concurrent stores safe, proven by the
 //!   many-client stress test in `tests/stress.rs`.
 //! * **Telemetry.** Request/queue/outcome counters, a queue-depth
@@ -51,7 +55,7 @@ use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender, SyncSender, TrySendError};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -62,8 +66,11 @@ use instrep_core::service::{
     Request, RequestError, RequestSource, Response, ServiceError,
 };
 use instrep_core::telemetry::{Counter, Gauge, Histogram};
-use instrep_core::{AnalysisCache, AnalysisConfig, Session, TelemetryRegistry};
-use instrep_workloads::Scale;
+use instrep_core::{
+    AnalysisCache, AnalysisConfig, AnalysisJob, CacheKey, ImageKey, InstrumentedReport, Session,
+    TelemetryRegistry,
+};
+use instrep_workloads::{Scale, Workload};
 
 /// How long an `overloaded` response tells the client to back off. One
 /// queue slot drains in at most one request's wall time, so a small
@@ -158,11 +165,30 @@ struct Ctx {
     max_request_bytes: usize,
     shutdown: Arc<AtomicBool>,
     cache: Option<AnalysisCache>,
-    /// Compiled in-tree workload images, memoized by name: the sources
-    /// are static, so every request for `"compress"` shares one build.
-    images: Mutex<HashMap<String, Arc<Image>>>,
+    /// Built in-tree workloads, memoized by name: the sources are
+    /// static, so every request for `"compress"` shares one build and
+    /// one hash of its image.
+    images: Mutex<HashMap<String, Arc<Built>>>,
     registry: Arc<TelemetryRegistry>,
     tel: ServeTelemetry,
+}
+
+/// A built in-tree workload: its image, and the image half of the
+/// cache key of every request for it.
+struct Built {
+    wl: Workload,
+    image: Image,
+    key: ImageKey,
+}
+
+/// A request whose key its connection thread looked up and missed:
+/// everything the worker needs to simulate it and store the report
+/// under that key.
+struct Missed {
+    built: Arc<Built>,
+    input: Vec<u8>,
+    cfg: AnalysisConfig,
+    key: CacheKey,
 }
 
 /// One queued request: the work, its wall-clock deadline, and the
@@ -171,8 +197,20 @@ struct Ctx {
 /// disconnect, which it answers as `shutting_down`.
 struct WorkItem {
     req: Request,
+    /// Set when the connection thread already looked the request up.
+    missed: Option<Missed>,
     deadline: Instant,
     reply: Sender<Response>,
+}
+
+/// What a connection thread made of a request before the queue.
+enum Admission {
+    /// A cache hit, answered without a worker.
+    Answered(Response),
+    /// Looked up and missed: the worker runs it as prepared.
+    Missed(Missed),
+    /// Everything else: the worker handles the request whole.
+    Queue,
 }
 
 /// A running daemon. Dropping the handle does **not** stop the server;
@@ -432,7 +470,8 @@ fn peek_id(line: &str) -> u64 {
     Json::parse(line).ok().and_then(|doc| doc.get("id").and_then(Json::u64)).unwrap_or(0)
 }
 
-/// Decodes, admission-controls, queues, and awaits one request.
+/// Decodes and admission-controls one request, then answers it from
+/// the cache or queues it and awaits the worker's response.
 fn handle_request_line(raw: &[u8], tx: &SyncSender<WorkItem>, ctx: &Ctx) -> Response {
     ctx.tel.requests.inc();
     let Ok(line) = std::str::from_utf8(raw) else {
@@ -471,13 +510,19 @@ fn handle_request_line(raw: &[u8], tx: &SyncSender<WorkItem>, ctx: &Ctx) -> Resp
         });
     }
 
+    let missed = match admit(&req, ctx) {
+        Admission::Answered(response) => return response,
+        Admission::Missed(missed) => Some(missed),
+        Admission::Queue => None,
+    };
+
     let (reply_tx, reply_rx) = mpsc::channel();
     let deadline = Instant::now() + ctx.timeout;
     // Count the slot before the send: a worker can dequeue (and
     // decrement) the instant the item lands, so incrementing after the
     // send could underflow the depth gauge.
     ctx.tel.queue_push();
-    match tx.try_send(WorkItem { req, deadline, reply: reply_tx }) {
+    match tx.try_send(WorkItem { req, missed, deadline, reply: reply_tx }) {
         Ok(()) => {}
         Err(TrySendError::Full(_)) => {
             ctx.tel.queue_pop();
@@ -528,6 +573,43 @@ fn handle_request_line(raw: &[u8], tx: &SyncSender<WorkItem>, ctx: &Ctx) -> Resp
     }
 }
 
+/// Looks a request up in the cache on its connection's thread when
+/// that can answer it: a built workload, with a cache, asking for the
+/// report alone. The image's key half is kept, so the lookup hashes
+/// only the input and the config. Everything else goes to a worker
+/// whole: raw sources and a workload's first request compile, profile
+/// and loops requests bypass the cache, and a metrics payload times
+/// the lookup as the first phase of the run that follows a miss, so
+/// the two stay in one session.
+fn admit(req: &Request, ctx: &Ctx) -> Admission {
+    let (Some(cache), RequestSource::Workload(name)) = (&ctx.cache, &req.source) else {
+        return Admission::Queue;
+    };
+    if req.want_metrics || req.want_profile || req.want_loops {
+        return Admission::Queue;
+    }
+    let built = ctx.images.lock().unwrap_or_else(PoisonError::into_inner).get(name).cloned();
+    let (Some(built), Ok(scale), Ok(cfg)) = (built, request_scale(req), request_config(req)) else {
+        return Admission::Queue;
+    };
+    let started = Instant::now();
+    let input = built.wl.input(scale, req.seed);
+    let key = built.key.key(&input, &cfg);
+    match Session::new(cfg).cache(cache).lookup(&key) {
+        Some(ir) => {
+            let response = report_response(req, &cfg, ir);
+            ctx.tel.request_ns.record(elapsed_ns(started));
+            ctx.tel.responses_ok.inc();
+            Admission::Answered(response)
+        }
+        None => Admission::Missed(Missed { built, input, cfg, key }),
+    }
+}
+
+fn elapsed_ns(since: Instant) -> u64 {
+    u64::try_from(since.elapsed().as_nanos()).unwrap_or(u64::MAX)
+}
+
 /// Worker: pull, deadline-check, analyze, reply — until the queue
 /// disconnects (every sender gone, which only happens at shutdown).
 fn worker_loop(worker: usize, rx: &Mutex<Receiver<WorkItem>>, ctx: &Ctx) {
@@ -561,8 +643,14 @@ fn worker_loop(worker: usize, rx: &Mutex<Receiver<WorkItem>>, ctx: &Ctx) {
         };
         lane.set_label(&label);
         let started = Instant::now();
-        let response = process(&item.req, ctx);
-        ctx.tel.request_ns.record(u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX));
+        let response = match item.missed {
+            Some(m) => {
+                let job = AnalysisJob { image: &m.built.image, input: m.input, label: "" };
+                respond(&item.req, &m.cfg, session(m.cfg, ctx).run_missed(job, m.key))
+            }
+            None => process(&item.req, ctx),
+        };
+        ctx.tel.request_ns.record(elapsed_ns(started));
         lane.job_done();
         lane.set_label("");
         if item.reply.send(response).is_err() {
@@ -577,86 +665,114 @@ fn error(id: u64, kind: ErrorKind, message: String) -> Response {
     Response::Error(ServiceError { id, kind, message, retry_after_ms: None })
 }
 
+/// The workload scale a request names.
+fn request_scale(req: &Request) -> Result<Scale, Response> {
+    match req.scale.as_str() {
+        "tiny" => Ok(Scale::Tiny),
+        "small" => Ok(Scale::Small),
+        "full" => Ok(Scale::Full),
+        other => Err(error(req.id, ErrorKind::BadRequest, format!("unknown scale `{other}`"))),
+    }
+}
+
+/// The analysis config a request asks for: its scale's windows, with
+/// its overrides.
+fn request_config(req: &Request) -> Result<AnalysisConfig, Response> {
+    let Some((skip, window)) = scale_windows(&req.scale) else {
+        return Err(error(req.id, ErrorKind::BadRequest, format!("unknown scale `{}`", req.scale)));
+    };
+    let defaults = AnalysisConfig::default();
+    Ok(AnalysisConfig {
+        skip: req.skip.unwrap_or(skip),
+        window: req.window.unwrap_or(window),
+        top_k: req.top_k.unwrap_or(defaults.top_k),
+        ..defaults
+    })
+}
+
+/// The memoized build of workload `name`, building it on first use.
+/// The build runs outside the memo's lock, so no other request waits
+/// for it; when two requests race to build one workload, the first
+/// insert wins and the other build is dropped.
+fn built_workload(name: &str, wl: Workload, ctx: &Ctx) -> Result<Arc<Built>, String> {
+    let memo = || ctx.images.lock().unwrap_or_else(PoisonError::into_inner);
+    if let Some(built) = memo().get(name) {
+        return Ok(Arc::clone(built));
+    }
+    let image = wl.build().map_err(|e| format!("workload `{name}` failed to build: {e}"))?;
+    let built = Arc::new(Built { wl, key: ImageKey::of(&image), image });
+    Ok(Arc::clone(memo().entry(name.to_string()).or_insert(built)))
+}
+
 /// Runs one request through a fresh [`Session`] against the shared
-/// cache and encodes the response payloads.
+/// cache.
 fn process(req: &Request, ctx: &Ctx) -> Response {
+    let raw;
+    let built;
     let (image, input) = match &req.source {
         RequestSource::Workload(name) => {
             let Some(wl) = instrep_workloads::by_name(name) else {
                 return error(req.id, ErrorKind::BadRequest, format!("unknown workload `{name}`"));
             };
-            let scale = match req.scale.as_str() {
-                "tiny" => Scale::Tiny,
-                "small" => Scale::Small,
-                "full" => Scale::Full,
-                other => {
-                    return error(req.id, ErrorKind::BadRequest, format!("unknown scale `{other}`"))
-                }
+            let scale = match request_scale(req) {
+                Ok(scale) => scale,
+                Err(response) => return response,
             };
-            let image = {
-                let mut images = match ctx.images.lock() {
-                    Ok(g) => g,
-                    Err(_) => {
-                        return error(
-                            req.id,
-                            ErrorKind::AnalysisFailed,
-                            "image cache poisoned".to_string(),
-                        )
-                    }
-                };
-                match images.get(name) {
-                    Some(image) => Arc::clone(image),
-                    None => match wl.build() {
-                        Ok(image) => {
-                            let image = Arc::new(image);
-                            images.insert(name.clone(), Arc::clone(&image));
-                            image
-                        }
-                        Err(e) => {
-                            return error(
-                                req.id,
-                                ErrorKind::AnalysisFailed,
-                                format!("workload `{name}` failed to build: {e}"),
-                            )
-                        }
-                    },
-                }
+            built = match built_workload(name, wl, ctx) {
+                Ok(built) => built,
+                Err(message) => return error(req.id, ErrorKind::AnalysisFailed, message),
             };
-            (image, wl.input(scale, req.seed))
+            (&built.image, wl.input(scale, req.seed))
         }
         RequestSource::Source(minic) => match instrep_minicc::build(minic) {
-            Ok(image) => (Arc::new(image), Vec::new()),
+            Ok(image) => {
+                raw = image;
+                (&raw, Vec::new())
+            }
             Err(e) => {
                 return error(req.id, ErrorKind::BadRequest, format!("source failed to build: {e}"))
             }
         },
     };
-
-    let Some((skip, window)) = scale_windows(&req.scale) else {
-        return error(req.id, ErrorKind::BadRequest, format!("unknown scale `{}`", req.scale));
-    };
-    let defaults = AnalysisConfig::default();
-    let cfg = AnalysisConfig {
-        skip: req.skip.unwrap_or(skip),
-        window: req.window.unwrap_or(window),
-        top_k: req.top_k.unwrap_or(defaults.top_k),
-        ..defaults
+    let cfg = match request_config(req) {
+        Ok(cfg) => cfg,
+        Err(response) => return response,
     };
 
-    let mut session =
-        Session::new(cfg).metrics(req.want_metrics).profile(req.want_profile).loops(req.want_loops);
-    if let Some(cache) = &ctx.cache {
-        session = session.cache(cache);
+    let session =
+        session(cfg, ctx).metrics(req.want_metrics).profile(req.want_profile).loops(req.want_loops);
+    respond(req, &cfg, session.run_one(image, input))
+}
+
+/// A session for one request, against the shared cache if there is one.
+fn session(cfg: AnalysisConfig, ctx: &Ctx) -> Session<'_> {
+    let session = Session::new(cfg);
+    match &ctx.cache {
+        Some(cache) => session.cache(cache),
+        None => session,
     }
-    match session.run_one(&image, input) {
-        Ok(ir) => Response::Report(ReportPayload {
-            id: req.id,
-            cache: ir.cache,
-            report: report_json(&ir.report),
-            metrics: ir.metrics.map(|m| metrics_json(&m)),
-            profile: ir.profile.map(|p| profile_json(&p, cfg.top_k)),
-            loops: ir.loops.map(|l| loops_json(&l, cfg.top_k)),
-        }),
+}
+
+/// Encodes a run's outcome as the response to `req`.
+fn respond(
+    req: &Request,
+    cfg: &AnalysisConfig,
+    result: Result<InstrumentedReport, impl std::fmt::Display>,
+) -> Response {
+    match result {
+        Ok(ir) => report_response(req, cfg, ir),
         Err(e) => error(req.id, ErrorKind::AnalysisFailed, format!("simulation trapped: {e}")),
     }
+}
+
+/// Encodes a report and the payloads `req` asked for.
+fn report_response(req: &Request, cfg: &AnalysisConfig, ir: InstrumentedReport) -> Response {
+    Response::Report(ReportPayload {
+        id: req.id,
+        cache: ir.cache,
+        report: report_json(&ir.report),
+        metrics: ir.metrics.map(|m| metrics_json(&m)),
+        profile: ir.profile.map(|p| profile_json(&p, cfg.top_k)),
+        loops: ir.loops.map(|l| loops_json(&l, cfg.top_k)),
+    })
 }

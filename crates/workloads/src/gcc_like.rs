@@ -27,7 +27,7 @@ pub(crate) fn gen_source(r: &mut Rng, approx_len: usize) -> Vec<u8> {
     fn gen_expr(r: &mut Rng, out: &mut Vec<u8>, depth: u32) {
         if depth >= 4 || r.gen_bool(0.4) {
             if r.gen_bool(0.5) {
-                out.extend_from_slice(r.gen_range(0..500).to_string().as_bytes());
+                push_decimal(out, r.gen_range(0..500));
             } else {
                 out.push(b'a' + r.gen_range(0..8) as u8);
             }
@@ -53,6 +53,23 @@ pub(crate) fn gen_source(r: &mut Rng, approx_len: usize) -> Vec<u8> {
         out.push(b';');
     }
     out
+}
+
+/// Appends the decimal digits of `n`, as `n.to_string()` would write
+/// them, without allocating.
+fn push_decimal(out: &mut Vec<u8>, n: u32) {
+    let mut digits = [0u8; 10];
+    let mut i = digits.len();
+    let mut n = n;
+    loop {
+        i -= 1;
+        digits[i] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(&digits[i..]);
 }
 
 /// Builds the input stream: header plus generated source.
@@ -395,6 +412,41 @@ mod tests {
         assert_eq!(vars[0], 100);
         assert_eq!(vars[1], 300);
         assert_eq!(vars[2], 350);
+    }
+
+    #[test]
+    fn tiny_inputs_keep_their_bytes() {
+        // Cache keys and the table goldens hash these bytes; the values
+        // were taken from the generator that formatted each number with
+        // `to_string`.
+        let pins = [
+            (1998, 2038, 0xc603_7da0_6d4d_6e17, "c=(f-(a*(d+275))+h);e=(263-63+e-(240-e)+f-337)*c"),
+            (7, 2029, 0xc119_fdc6_8f7a_92fe, "d=d;h=b;a=((253+b*b-h-271+h-a)-b);d=(126*(37+f))"),
+            (
+                0xdead_beef,
+                2005,
+                0x057e_d4d8_b712_3a38,
+                "f=368;a=((d*(g+f))+((f*27)+472+341))+c;c=382;h=a",
+            ),
+        ];
+        for (seed, len, fnv, head) in pins {
+            let bytes = input(Scale::Tiny, seed);
+            let hash = bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+            });
+            assert_eq!((bytes.len(), hash), (len, fnv), "seed {seed}");
+            assert_eq!(&bytes[4..4 + head.len()], head.as_bytes(), "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn decimals_match_to_string() {
+        let mut out = Vec::new();
+        for n in [0, 7, 10, 99, 100, 499, 500, 65_535, u32::MAX] {
+            out.clear();
+            push_decimal(&mut out, n);
+            assert_eq!(out, n.to_string().as_bytes());
+        }
     }
 
     #[test]

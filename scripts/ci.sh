@@ -296,12 +296,17 @@ r = ask(json.dumps({"schema_version": 1, "id": 6, "source": "x" * 200000}))
 assert r["ok"] is False and r["error"] == "oversized", r
 
 # Backpressure: worker busy + the one queue slot taken => reject #3
-# with a retry hint, while the two admitted requests still finish.
+# with a retry hint, while the two admitted requests still finish. The
+# warm client's request is answered from the cache on its connection
+# meanwhile: the queue bounds only work that compiles or simulates.
 a, b = connect(), connect()
 a.sendall((SLOW % 1).encode() + b"\n")
 time.sleep(0.4)
 b.sendall((SLOW % 2).encode() + b"\n")
 time.sleep(0.2)
+r = ask(json.dumps({"schema_version": 1, "id": 1, "workload": "compress",
+                    "scale": "tiny", "seed": 1998}))
+assert r["ok"] is True and r["cache"] == "hit", r
 r = ask(SLOW % 3)
 assert r["ok"] is False and r["error"] == "overloaded", r
 assert r.get("retry_after_ms", 0) > 0, r
