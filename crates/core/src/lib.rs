@@ -115,9 +115,7 @@ pub use local::{LocalAnalysis, LocalCat, LocalCounts};
 pub use loops::{
     LoopNestProfile, LoopPathStats, LoopProfiler, LoopRecord, LoopsReport, LOOPS_SCHEMA_VERSION,
 };
-pub use metrics::{
-    BenchSummary, MetricsReport, PhaseMetrics, WorkloadMetrics, METRICS_SCHEMA_VERSION,
-};
+pub use metrics::{MetricsReport, PhaseMetrics, WorkloadMetrics, METRICS_SCHEMA_VERSION};
 pub use pipeline::{
     default_parallelism, steady_state_check, AnalysisConfig, AnalysisJob, InstrumentedReport,
     Probes, WorkloadReport,

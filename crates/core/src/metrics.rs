@@ -9,14 +9,9 @@
 //! byte-identical with metrics on or off, for every `--jobs` count — and
 //! disabling them costs exactly one `Option` branch per phase boundary.
 //!
-//! Two document kinds share [`METRICS_SCHEMA_VERSION`] (both documented
-//! in `DESIGN.md` §9):
-//!
-//! * `"metrics"` — one run: per-workload phases (wall time, events,
-//!   events/sec) and gauges ([`MetricsReport::to_json`]).
-//! * `"bench"` — N repeated runs summarized as median + IQR per
-//!   workload/phase ([`BenchSummary::to_json`]), the unit of the
-//!   `BENCH_*.json` performance trajectory written by `scripts/bench.sh`.
+//! The document (kind `"metrics"`, schema [`METRICS_SCHEMA_VERSION`],
+//! documented in `DESIGN.md` §9) holds one run: per-workload phases
+//! (wall time, events, events/sec) and gauges ([`MetricsReport::to_json`]).
 
 use std::time::Instant;
 
@@ -200,193 +195,6 @@ impl MetricsReport {
     }
 }
 
-/// Median + IQR summary for one phase across N bench runs.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BenchPhase {
-    /// Phase name.
-    pub name: &'static str,
-    /// Median wall time in milliseconds.
-    pub median_ms: f64,
-    /// Interquartile range of wall time in milliseconds.
-    pub iqr_ms: f64,
-    /// Fastest run's wall time in milliseconds — the
-    /// repetition-tester headline number (noise only ever adds time,
-    /// so the minimum is the best estimate of the true cost).
-    pub min_ms: f64,
-    /// Slowest run's wall time in milliseconds.
-    pub max_ms: f64,
-    /// Mean wall time in milliseconds.
-    pub avg_ms: f64,
-    /// Median throughput in events/sec (0.0 for event-free phases).
-    pub median_events_per_sec: f64,
-}
-
-/// Per-workload bench summary.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BenchWorkload {
-    /// Workload name.
-    pub name: String,
-    /// Phase summaries in phase order.
-    pub phases: Vec<BenchPhase>,
-}
-
-/// N repeated runs summarized as a perf-trajectory entry (kind
-/// `"bench"`). Produced by [`summarize_runs`], consumed by
-/// `scripts/bench.sh`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BenchSummary {
-    /// Number of runs summarized.
-    pub runs: usize,
-    /// Workload scale label.
-    pub scale: String,
-    /// Input-generation seed.
-    pub seed: u64,
-    /// Worker threads.
-    pub jobs: usize,
-    /// Per-workload summaries, in workload order.
-    pub workloads: Vec<BenchWorkload>,
-}
-
-impl BenchSummary {
-    /// Renders the versioned JSON document.
-    pub fn to_json(&self) -> String {
-        let mut w = JsonWriter::new(Layout::Indented, 2048);
-        w.object(|w| {
-            w.key("schema_version").uint(METRICS_SCHEMA_VERSION.into());
-            w.key("kind").str("bench");
-            w.key("runs").uint(self.runs as u64);
-            w.key("scale").str(&self.scale);
-            w.key("seed").uint(self.seed);
-            w.key("jobs").uint(self.jobs as u64);
-            w.key("workloads").array(|w| {
-                for wl in &self.workloads {
-                    w.row(|w| {
-                        w.key("name").str(&wl.name);
-                        w.key("phases").array(|w| {
-                            for p in &wl.phases {
-                                w.row(|w| {
-                                    w.key("name").str(p.name);
-                                    w.key("median_ms").f3(p.median_ms);
-                                    w.key("iqr_ms").f3(p.iqr_ms);
-                                    w.key("min_ms").f3(p.min_ms);
-                                    w.key("max_ms").f3(p.max_ms);
-                                    w.key("avg_ms").f3(p.avg_ms);
-                                    w.key("median_events_per_sec").f3(p.median_events_per_sec);
-                                });
-                            }
-                        });
-                    });
-                }
-            });
-        });
-        w.newline();
-        w.finish()
-    }
-}
-
-/// Collapses N single-run [`MetricsReport`]s (same scale/seed/jobs and
-/// workload set) into a [`BenchSummary`] of per-phase medians and IQRs.
-///
-/// # Errors
-///
-/// Returns a description of the mismatch if `runs` is empty or the runs
-/// do not cover the same workloads and phases.
-pub fn summarize_runs(runs: &[MetricsReport]) -> Result<BenchSummary, String> {
-    let first = runs.first().ok_or("no runs to summarize")?;
-    let mut workloads = Vec::with_capacity(first.workloads.len());
-    for (wi, (name, m0)) in first.workloads.iter().enumerate() {
-        let mut phases = Vec::with_capacity(m0.phases.len());
-        for (pi, p0) in m0.phases.iter().enumerate() {
-            let mut walls = Vec::with_capacity(runs.len());
-            let mut rates = Vec::with_capacity(runs.len());
-            for run in runs {
-                let (wname, m) = run
-                    .workloads
-                    .get(wi)
-                    .ok_or_else(|| format!("run missing workload #{wi} ({name})"))?;
-                if wname != name {
-                    return Err(format!("workload order mismatch: {wname} vs {name}"));
-                }
-                let p = m
-                    .phases
-                    .get(pi)
-                    .filter(|p| p.name == p0.name)
-                    .ok_or_else(|| format!("{name}: phase mismatch at #{pi} ({})", p0.name))?;
-                walls.push(p.wall_ms());
-                rates.push(p.events_per_sec());
-            }
-            let min_ms = walls.iter().copied().fold(f64::INFINITY, f64::min);
-            let max_ms = walls.iter().copied().fold(0.0, f64::max);
-            let avg_ms = walls.iter().sum::<f64>() / walls.len() as f64;
-            let median_ms = median(&mut walls);
-            let iqr_ms = iqr(&mut walls);
-            let median_events_per_sec = median(&mut rates);
-            phases.push(BenchPhase {
-                name: p0.name,
-                median_ms,
-                iqr_ms,
-                min_ms,
-                max_ms,
-                avg_ms,
-                median_events_per_sec,
-            });
-        }
-        workloads.push(BenchWorkload { name: name.clone(), phases });
-    }
-    Ok(BenchSummary {
-        runs: runs.len(),
-        scale: first.scale.clone(),
-        seed: first.seed,
-        jobs: first.jobs,
-        workloads,
-    })
-}
-
-/// Median of a sample (sorts in place). Returns 0.0 for an empty slice.
-///
-/// # Examples
-///
-/// ```
-/// use instrep_core::metrics::median;
-///
-/// assert_eq!(median(&mut [3.0, 1.0, 2.0]), 2.0);
-/// assert_eq!(median(&mut [1.0, 2.0, 3.0, 4.0]), 2.5);
-/// ```
-pub fn median(xs: &mut [f64]) -> f64 {
-    quantile(xs, 0.5)
-}
-
-/// Interquartile range (Q3 − Q1, linear interpolation) of a sample
-/// (sorts in place). Returns 0.0 for samples of fewer than two points.
-///
-/// # Examples
-///
-/// ```
-/// use instrep_core::metrics::iqr;
-///
-/// assert_eq!(iqr(&mut [1.0, 2.0, 3.0, 4.0, 5.0]), 2.0);
-/// assert_eq!(iqr(&mut [7.0]), 0.0);
-/// ```
-pub fn iqr(xs: &mut [f64]) -> f64 {
-    if xs.len() < 2 {
-        return 0.0;
-    }
-    quantile(xs, 0.75) - quantile(xs, 0.25)
-}
-
-/// Linearly interpolated quantile `q` in `[0, 1]` (sorts in place).
-fn quantile(xs: &mut [f64], q: f64) -> f64 {
-    if xs.is_empty() {
-        return 0.0;
-    }
-    xs.sort_by(|a, b| a.partial_cmp(b).expect("metrics values are finite"));
-    let pos = q * (xs.len() - 1) as f64;
-    let lo = pos.floor() as usize;
-    let hi = pos.ceil() as usize;
-    let frac = pos - lo as f64;
-    xs[lo] + (xs[hi] - xs[lo]) * frac
-}
-
 /// Process peak resident set size in bytes (`VmHWM` from
 /// `/proc/self/status`). Degrades to 0 on platforms without procfs or
 /// when the field is missing or unparseable — a 0 gauge, never a
@@ -412,62 +220,11 @@ fn parse_vm_hwm(status: &str) -> u64 {
 mod tests {
     use super::*;
 
-    fn report_with(walls_ms: &[f64]) -> Vec<MetricsReport> {
-        walls_ms
-            .iter()
-            .map(|&w| {
-                let mut m = WorkloadMetrics::default();
-                m.record_phase_ns("measure", (w * 1e6) as u64, 1000);
-                m.gauge("g", 1);
-                MetricsReport {
-                    scale: "tiny".to_string(),
-                    seed: 1,
-                    jobs: 1,
-                    workloads: vec![("w".to_string(), m)],
-                    peak_rss_bytes: 0,
-                    wall_ns_total: 0,
-                }
-            })
-            .collect()
-    }
-
-    #[test]
-    fn quantiles() {
-        assert_eq!(median(&mut []), 0.0);
-        assert_eq!(median(&mut [5.0]), 5.0);
-        assert_eq!(median(&mut [4.0, 1.0, 3.0, 2.0]), 2.5);
-        assert_eq!(iqr(&mut [1.0, 2.0, 3.0, 4.0, 5.0]), 2.0);
-        assert_eq!(iqr(&mut []), 0.0);
-    }
-
     #[test]
     fn throughput() {
         let p = PhaseMetrics { name: "measure", wall_ns: 2_000_000_000, events: 10_000 };
         assert!((p.events_per_sec() - 5_000.0).abs() < 1e-9);
         assert_eq!(PhaseMetrics { name: "x", wall_ns: 0, events: 5 }.events_per_sec(), 0.0);
-    }
-
-    #[test]
-    fn summarize_medians_and_iqr() {
-        let runs = report_with(&[10.0, 30.0, 20.0]);
-        let s = summarize_runs(&runs).unwrap();
-        assert_eq!(s.runs, 3);
-        assert_eq!(s.workloads.len(), 1);
-        let p = &s.workloads[0].phases[0];
-        assert_eq!(p.name, "measure");
-        assert!((p.median_ms - 20.0).abs() < 1e-9);
-        assert!((p.min_ms - 10.0).abs() < 1e-9);
-        assert!((p.max_ms - 30.0).abs() < 1e-9);
-        assert!((p.avg_ms - 20.0).abs() < 1e-9);
-        assert!(p.median_events_per_sec > 0.0);
-    }
-
-    #[test]
-    fn summarize_rejects_mismatched_runs() {
-        assert!(summarize_runs(&[]).is_err());
-        let mut runs = report_with(&[10.0, 20.0]);
-        runs[1].workloads[0].0 = "other".to_string();
-        assert!(summarize_runs(&runs).is_err());
     }
 
     #[test]

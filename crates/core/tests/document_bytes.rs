@@ -1,5 +1,5 @@
 //! Exact-bytes pins for every JSON document the workspace writes: the
-//! metrics, bench, trace, intervals, profile and loops exports, the two
+//! metrics, trace, intervals, profile and loops exports, the two
 //! heartbeat lines, and the daemon's request, response and payload
 //! objects. Each is rendered from fixed inputs (the clock-bearing ones
 //! from hand-built structs, so nothing needs masking) and compared byte
@@ -12,9 +12,7 @@ use std::path::PathBuf;
 
 use instrep_core::interval::{to_jsonl, IntervalWindow};
 use instrep_core::loops::{LoopNestProfile, LoopPathStats, LoopRecord, LoopsReport};
-use instrep_core::metrics::{
-    BenchPhase, BenchSummary, BenchWorkload, MetricsReport, WorkloadMetrics,
-};
+use instrep_core::metrics::{MetricsReport, WorkloadMetrics};
 use instrep_core::profile::{InstructionProfile, ProfileReport, SiteProfile};
 use instrep_core::service::{
     loops_json, metrics_json, profile_json, report_json, ErrorKind, ReportPayload, Request,
@@ -141,32 +139,6 @@ fn metrics_doc() -> String {
         ],
         peak_rss_bytes: 123_456_789,
         wall_ns_total: 3_500_001,
-    }
-    .to_json()
-}
-
-fn bench_doc() -> String {
-    let phase = |name, median_ms| BenchPhase {
-        name,
-        median_ms,
-        iqr_ms: 0.0625,
-        min_ms: 1.0,
-        max_ms: 2.4996,
-        avg_ms: 1.5,
-        median_events_per_sec: 12_345_678.9,
-    };
-    BenchSummary {
-        runs: 3,
-        scale: "small".to_string(),
-        seed: 7,
-        jobs: 4,
-        workloads: vec![
-            BenchWorkload {
-                name: "go".to_string(),
-                phases: vec![phase("setup", 0.0005), phase("measure", f64::NAN)],
-            },
-            BenchWorkload { name: AWKWARD.to_string(), phases: vec![] },
-        ],
     }
     .to_json()
 }
@@ -319,7 +291,6 @@ fn every_document_matches_its_pinned_bytes() {
     let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
     for (name, got) in [
         ("metrics.json", metrics_doc()),
-        ("bench.json", bench_doc()),
         ("trace.json", trace_doc()),
         ("trace_empty.json", SpanTracer::new().to_json()),
         ("intervals.jsonl", intervals_doc()),

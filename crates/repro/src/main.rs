@@ -16,10 +16,7 @@
 //!
 //! `--metrics-out PATH` additionally writes a versioned JSON metrics
 //! document (phase timings, throughput, occupancy gauges, peak RSS — see
-//! `DESIGN.md` §9) without changing a byte of the table output. With
-//! `--bench N` the analysis repeats N times and PATH receives a
-//! median+IQR bench summary instead — the unit of the `BENCH_*.json`
-//! performance trajectory (`scripts/bench.sh`).
+//! `DESIGN.md` §9) without changing a byte of the table output.
 //!
 //! `--trace-out PATH` writes a Chrome trace-event JSON document
 //! (Perfetto-loadable) spanning compile, assemble, the analysis phases
@@ -70,10 +67,6 @@ use instrep_core::{
 };
 use instrep_workloads::{all, Scale, Workload};
 
-/// Hard ceiling on `--bench` iterations when the settle loop keeps
-/// finding new minimums (a pathologically noisy box must still halt).
-const BENCH_MAX_RUNS: u32 = 200;
-
 struct Options {
     scale: Scale,
     seed: u64,
@@ -86,7 +79,6 @@ struct Options {
     input_check: bool,
     csv: Option<String>,
     metrics_out: Option<String>,
-    bench: Option<u32>,
     trace_out: Option<String>,
     interval: Option<u64>,
     interval_out: Option<String>,
@@ -273,20 +265,6 @@ const FLAGS: &[FlagSpec] = &[
         help: "write the phase/throughput metrics JSON to PATH",
         apply: |o, v| {
             o.metrics_out = Some(v.to_string());
-            Ok(())
-        },
-    },
-    FlagSpec {
-        name: "--bench",
-        alias: None,
-        value: Some(("N", "--bench needs a run count")),
-        help: "repeat the analysis N times, summarize into --metrics-out",
-        apply: |o, v| {
-            let n: u32 = v.parse().map_err(|_| format!("bad bench run count `{v}`"))?;
-            if n == 0 {
-                return Err("--bench must be at least 1".to_string());
-            }
-            o.bench = Some(n);
             Ok(())
         },
     },
@@ -489,34 +467,13 @@ const FLAGS: &[FlagSpec] = &[
 
 const RULES: &[Rule] = &[
     Rule {
-        broken: |o| o.bench.is_some() && o.metrics_out.is_none(),
-        message: "--bench requires --metrics-out (the summary is written there)",
-    },
-    Rule {
         broken: |o| o.interval.is_some() != o.interval_out.is_some(),
         message: "--interval and --interval-out must be given together",
-    },
-    Rule {
-        broken: |o| o.bench.is_some() && (o.trace_out.is_some() || o.interval_out.is_some()),
-        message: "--bench cannot be combined with --trace-out or --interval-out",
-    },
-    Rule {
-        broken: |o| o.bench.is_some() && o.wants_profile(),
-        message: "--bench cannot be combined with --profile-out, --profile-folded, or --annotate",
-    },
-    Rule {
-        broken: |o| o.bench.is_some() && (o.loops_out.is_some() || o.loops_folded.is_some()),
-        message: "--bench cannot be combined with --loops-out or --loops-folded",
     },
     Rule {
         broken: |o| o.top_given && !o.wants_profile() && !o.wants_loops(),
         message: "--top requires --profile-out, --profile-folded, --loops-out, \
                   --loops-folded, or --annotate",
-    },
-    Rule {
-        broken: |o| o.bench.is_some() && o.cache_dir.is_some(),
-        message: "--bench cannot be combined with --cache-dir \
-                  (a cached run would make bench timings meaningless)",
     },
     Rule {
         broken: |o| o.cache_verify && o.cache_dir.is_none(),
@@ -525,13 +482,6 @@ const RULES: &[Rule] = &[
     Rule {
         broken: |o| o.heartbeat_out.is_some() != o.heartbeat_ms.is_some(),
         message: "--heartbeat-out and --heartbeat-ms must be given together",
-    },
-    Rule {
-        broken: |o| {
-            o.bench.is_some()
-                && (o.heartbeat_out.is_some() || o.telemetry_out.is_some() || o.progress)
-        },
-        message: "--bench cannot be combined with --heartbeat-out, --telemetry-out, or --progress",
     },
 ];
 
@@ -570,7 +520,6 @@ fn parse_args() -> Result<Options, String> {
         input_check: false,
         csv: None,
         metrics_out: None,
-        bench: None,
         trace_out: None,
         interval: None,
         interval_out: None,
@@ -733,158 +682,106 @@ fn main() -> ExitCode {
         }
     }
 
-    let want_metrics = opts.metrics_out.is_some();
-    let iterations = opts.bench.unwrap_or(1);
-    // Repetition-tester settle phase (--bench only): keep re-running past
-    // the requested count until no new minimum wall time appears within
-    // INSTREP_BENCH_SETTLE_MS of wall clock (default 2000; 0 disables),
-    // capped at BENCH_MAX_RUNS. Noise only ever adds time, so a settled
-    // minimum is the best estimate of the true cost.
-    let settle_ms: u64 =
-        std::env::var("INSTREP_BENCH_SETTLE_MS").ok().and_then(|v| v.parse().ok()).unwrap_or(2000);
-    let mut runs: Vec<MetricsReport> = Vec::new();
+    let jobs_start = std::time::Instant::now();
+    let jobs: Vec<AnalysisJob<'_>> = workloads
+        .iter()
+        .zip(&images)
+        .map(|(wl, image)| AnalysisJob {
+            image,
+            input: wl.input(opts.scale, opts.seed),
+            label: wl.name,
+        })
+        .collect();
+    // One Session runs the whole fan-out; the probes are pull-based and
+    // the cache memoizes without perturbing, so every flag combination
+    // prints identical tables.
+    let span = main_lane.as_mut().map(|l| l.begin());
+    let mut session =
+        Session::new(cfg).jobs(threads).interp(opts.interp).metrics(opts.metrics_out.is_some());
+    if let Some(n) = opts.interval {
+        session = session.interval(n);
+    }
+    if opts.wants_profile() {
+        session = session.profile(true);
+    }
+    if opts.wants_loops() {
+        session = session.loops(true);
+    }
+    if let Some(t) = tracer.as_mut() {
+        session = session.trace(t);
+    }
+    if let Some(c) = cache.as_ref() {
+        session = session.cache(c).cache_verify(opts.cache_verify);
+    }
+    if let Some(r) = registry.as_deref() {
+        session = session.telemetry(r);
+    }
+    let results = session.run(jobs);
+    let mut analyzed_events = 0;
     let mut reports: Vec<(String, WorkloadReport)> = Vec::new();
     let mut interval_series: Vec<(String, Vec<IntervalWindow>)> = Vec::new();
     let mut profiles: Vec<(String, InstructionProfile)> = Vec::new();
     let mut loop_profiles: Vec<(String, LoopNestProfile)> = Vec::new();
-    let mut iter: u32 = 0;
-    let mut best_ns = u64::MAX;
-    let mut best_at = std::time::Instant::now();
-    loop {
-        let iter_start = std::time::Instant::now();
-        let jobs: Vec<AnalysisJob<'_>> = workloads
-            .iter()
-            .zip(&images)
-            .map(|(wl, image)| AnalysisJob {
-                image,
-                input: wl.input(opts.scale, opts.seed),
-                label: wl.name,
-            })
-            .collect();
-        // One Session runs the whole fan-out; the probes are pull-based
-        // and the cache memoizes without perturbing, so every flag
-        // combination prints identical tables.
-        let span = main_lane.as_mut().map(|l| l.begin());
-        let mut session = Session::new(cfg).jobs(threads).interp(opts.interp).metrics(want_metrics);
-        if let Some(n) = opts.interval {
-            session = session.interval(n);
-        }
-        if opts.wants_profile() {
-            session = session.profile(true);
-        }
-        if opts.wants_loops() {
-            session = session.loops(true);
-        }
-        if let Some(t) = tracer.as_mut() {
-            session = session.trace(t);
-        }
-        if let Some(c) = cache.as_ref() {
-            session = session.cache(c).cache_verify(opts.cache_verify);
-        }
-        if let Some(r) = registry.as_deref() {
-            session = session.telemetry(r);
-        }
-        let results = session.run(jobs);
-        let mut analyzed_events = 0;
-        let mut run_workloads = Vec::new();
-        for ((wl, &built_ns), result) in workloads.iter().zip(&build_ns).zip(results) {
-            match result {
-                Ok(ir) => {
-                    if ir.cache == CacheOutcome::VerifyMismatch {
-                        eprintln!(
-                            "error: cache verify failed for {} \
-                             (entry does not match a fresh analysis)",
-                            wl.name
-                        );
-                        return ExitCode::FAILURE;
-                    }
-                    let cache_note = match ir.cache {
-                        CacheOutcome::Hit => " (cached)",
-                        CacheOutcome::VerifyOk => " (cache verified)",
-                        _ => "",
-                    };
-                    let r = ir.report;
-                    analyzed_events += r.dynamic_total;
-                    if iter == 0 {
-                        eprintln!(
-                            "  {:<10} {:>12} insns measured, {:>5.1}% repeated{cache_note}",
-                            wl.name,
-                            r.dynamic_total,
-                            r.repetition_rate() * 100.0,
-                        );
-                        reports.push((wl.name.to_string(), r));
-                        if let Some(windows) = ir.intervals {
-                            interval_series.push((wl.name.to_string(), windows));
-                        }
-                        if let Some(p) = ir.profile {
-                            profiles.push((wl.name.to_string(), p));
-                        }
-                        if let Some(p) = ir.loops {
-                            loop_profiles.push((wl.name.to_string(), p));
-                        }
-                    }
-                    if let Some(mut m) = ir.metrics {
-                        m.prepend_phase_ns("build", built_ns, 0);
-                        run_workloads.push((wl.name.to_string(), m));
-                    }
-                }
-                Err(e) => {
-                    eprintln!("error: analyzing {} trapped: {e}", wl.name);
-                    return ExitCode::FAILURE;
-                }
+    let mut workload_metrics = Vec::new();
+    for ((wl, &built_ns), result) in workloads.iter().zip(&build_ns).zip(results) {
+        let ir = match result {
+            Ok(ir) => ir,
+            Err(e) => {
+                eprintln!("error: analyzing {} trapped: {e}", wl.name);
+                return ExitCode::FAILURE;
             }
+        };
+        if ir.cache == CacheOutcome::VerifyMismatch {
+            eprintln!(
+                "error: cache verify failed for {} (entry does not match a fresh analysis)",
+                wl.name
+            );
+            return ExitCode::FAILURE;
         }
-        if let Some(l) = main_lane.as_mut() {
-            l.end(span.expect("span opened with lane"), "analyze", "phase", analyzed_events);
+        let cache_note = match ir.cache {
+            CacheOutcome::Hit => " (cached)",
+            CacheOutcome::VerifyOk => " (cache verified)",
+            _ => "",
+        };
+        let r = ir.report;
+        analyzed_events += r.dynamic_total;
+        eprintln!(
+            "  {:<10} {:>12} insns measured, {:>5.1}% repeated{cache_note}",
+            wl.name,
+            r.dynamic_total,
+            r.repetition_rate() * 100.0,
+        );
+        reports.push((wl.name.to_string(), r));
+        if let Some(windows) = ir.intervals {
+            interval_series.push((wl.name.to_string(), windows));
         }
-        if want_metrics {
-            runs.push(MetricsReport {
-                scale: scale_label(opts.scale).to_string(),
-                seed: opts.seed,
-                jobs: threads,
-                workloads: run_workloads,
-                peak_rss_bytes: metrics::peak_rss_bytes(),
-                wall_ns_total: u64::try_from(iter_start.elapsed().as_nanos()).unwrap_or(u64::MAX),
-            });
+        if let Some(p) = ir.profile {
+            profiles.push((wl.name.to_string(), p));
         }
-        let iter_ns = u64::try_from(iter_start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        if iter_ns < best_ns {
-            best_ns = iter_ns;
-            best_at = std::time::Instant::now();
+        if let Some(p) = ir.loops {
+            loop_profiles.push((wl.name.to_string(), p));
         }
-        iter += 1;
-        if opts.bench.is_some() {
-            if iter > iterations {
-                eprintln!("  bench iteration {iter} (settling): {} ms", iter_ns / 1_000_000);
-            } else if iterations > 1 {
-                eprintln!("  bench iteration {iter}/{iterations}: {} ms", iter_ns / 1_000_000);
-            }
-        }
-        if iter < iterations {
-            continue;
-        }
-        if opts.bench.is_none() || settle_ms == 0 || iter >= BENCH_MAX_RUNS {
-            break;
-        }
-        if best_at.elapsed().as_millis() >= u128::from(settle_ms) {
-            break;
+        if let Some(mut m) = ir.metrics {
+            m.prepend_phase_ns("build", built_ns, 0);
+            workload_metrics.push((wl.name.to_string(), m));
         }
     }
+    if let Some(l) = main_lane.as_mut() {
+        l.end(span.expect("span opened with lane"), "analyze", "phase", analyzed_events);
+    }
+    let wall_ns_total = u64::try_from(jobs_start.elapsed().as_nanos()).unwrap_or(u64::MAX);
     eprintln!("  analysis took {} ms on {threads} thread(s)", start.elapsed().as_millis());
 
     if let Some(path) = &opts.metrics_out {
-        let doc = if opts.bench.is_some() {
-            match metrics::summarize_runs(&runs) {
-                Ok(summary) => summary.to_json(),
-                Err(e) => {
-                    eprintln!("error: summarizing bench runs: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-        } else {
-            runs[0].to_json()
+        let doc = MetricsReport {
+            scale: scale_label(opts.scale).to_string(),
+            seed: opts.seed,
+            jobs: threads,
+            workloads: workload_metrics,
+            peak_rss_bytes: metrics::peak_rss_bytes(),
+            wall_ns_total,
         };
-        if let Err(e) = std::fs::write(path, doc) {
+        if let Err(e) = std::fs::write(path, doc.to_json()) {
             eprintln!("error: writing metrics to {path}: {e}");
             return ExitCode::FAILURE;
         }

@@ -17,14 +17,6 @@ fn run(args: &[&str]) -> Output {
         .expect("spawn instrep-repro")
 }
 
-fn run_env(args: &[&str], envs: &[(&str, &str)]) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_instrep-repro"))
-        .args(args)
-        .envs(envs.iter().copied())
-        .output()
-        .expect("spawn instrep-repro")
-}
-
 fn stderr_of(out: &Output) -> String {
     String::from_utf8_lossy(&out.stderr).into_owned()
 }
@@ -55,10 +47,13 @@ fn unknown_only_benchmark_fails_with_message() {
 
 #[test]
 fn unknown_flag_fails_with_message() {
-    let out = run(&["--frobnicate"]);
-    assert!(!out.status.success());
-    let err = stderr_of(&out);
-    assert!(err.contains("unknown argument `--frobnicate`"), "stderr: {err}");
+    // `--bench` is no longer a flag: it must fail like any unknown one.
+    for args in [&["--frobnicate"] as &[&str], &["--bench", "2", "--metrics-out", "m.json"]] {
+        let out = run(args);
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        let err = stderr_of(&out);
+        assert!(err.contains(&format!("unknown argument `{}`", args[0])), "stderr: {err}");
+    }
 }
 
 #[test]
@@ -67,14 +62,6 @@ fn zero_jobs_fails_with_message() {
     assert!(!out.status.success());
     let err = stderr_of(&out);
     assert!(err.contains("--jobs must be at least 1"), "stderr: {err}");
-}
-
-#[test]
-fn bench_without_metrics_out_fails_with_message() {
-    let out = run(&["--bench", "3"]);
-    assert!(!out.status.success());
-    let err = stderr_of(&out);
-    assert!(err.contains("--bench requires --metrics-out"), "stderr: {err}");
 }
 
 /// `--metrics-out` must emit parseable JSON carrying the documented
@@ -133,89 +120,6 @@ fn metrics_out_writes_schema_v1_json() {
         }
         other => panic!("gauges must be an object, got {other:?}"),
     }
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-/// `--bench N` turns the same path into a median+IQR summary document.
-/// The settle phase is disabled via the environment so exactly the
-/// requested run count executes.
-#[test]
-fn bench_mode_writes_schema_v1_summary() {
-    let dir = std::env::temp_dir().join(format!("instrep-bench-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("bench.json");
-    let out = run_env(
-        &[
-            "--scale",
-            "tiny",
-            "--only",
-            "compress",
-            "--table",
-            "1",
-            "--jobs",
-            "1",
-            "--bench",
-            "2",
-            "--metrics-out",
-            path.to_str().unwrap(),
-        ],
-        &[("INSTREP_BENCH_SETTLE_MS", "0")],
-    );
-    assert!(out.status.success(), "stderr: {}", stderr_of(&out));
-    let doc = Json::parse(&std::fs::read_to_string(&path).unwrap()).expect("valid JSON");
-    assert_eq!(doc.get("schema_version").and_then(Json::num), Some(1.0));
-    assert_eq!(doc.get("kind").and_then(Json::str), Some("bench"));
-    assert_eq!(doc.get("runs").and_then(Json::num), Some(2.0));
-    let wl = &doc.get("workloads").expect("workloads").items()[0];
-    let measure = wl
-        .get("phases")
-        .expect("phases")
-        .items()
-        .iter()
-        .find(|p| p.get("name").and_then(Json::str) == Some("measure"))
-        .expect("measure phase summarized");
-    assert!(measure.get("median_ms").and_then(Json::num).unwrap() > 0.0);
-    assert!(measure.get("iqr_ms").and_then(Json::num).unwrap() >= 0.0);
-    assert!(measure.get("median_events_per_sec").and_then(Json::num).unwrap() > 0.0);
-    let min = measure.get("min_ms").and_then(Json::num).expect("min_ms present");
-    let max = measure.get("max_ms").and_then(Json::num).expect("max_ms present");
-    let avg = measure.get("avg_ms").and_then(Json::num).expect("avg_ms present");
-    assert!(min > 0.0 && min <= avg && avg <= max, "min {min} <= avg {avg} <= max {max}");
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-/// With a settle interval, `--bench N` keeps re-running past N until the
-/// minimum stops improving — the summary reports the actual run count.
-#[test]
-fn bench_settle_phase_extends_the_run_count() {
-    let dir = std::env::temp_dir().join(format!("instrep-settle-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("bench.json");
-    let out = run_env(
-        &[
-            "--scale",
-            "tiny",
-            "--only",
-            "compress",
-            "--table",
-            "1",
-            "--jobs",
-            "1",
-            "--bench",
-            "1",
-            "--metrics-out",
-            path.to_str().unwrap(),
-        ],
-        &[("INSTREP_BENCH_SETTLE_MS", "200")],
-    );
-    assert!(out.status.success(), "stderr: {}", stderr_of(&out));
-    let doc = Json::parse(&std::fs::read_to_string(&path).unwrap()).expect("valid JSON");
-    let runs = doc.get("runs").and_then(Json::num).expect("runs present");
-    assert!(runs >= 2.0, "the first run sets a minimum, so settling must add a run; got {runs}");
-    let err = stderr_of(&out);
-    // The first run always sets a new minimum, so a 200ms settle window
-    // forces at least one extra (settling) iteration on any machine.
-    assert!(err.contains("(settling)"), "stderr: {err}");
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -316,14 +220,6 @@ fn zero_interval_fails_with_message() {
     assert!(err.contains("--interval must be at least 1"), "stderr: {err}");
 }
 
-#[test]
-fn bench_excludes_tracing_and_intervals() {
-    let out = run(&["--bench", "2", "--metrics-out", "m.json", "--trace-out", "t.json"]);
-    assert!(!out.status.success());
-    let err = stderr_of(&out);
-    assert!(err.contains("--bench cannot be combined with --trace-out"), "stderr: {err}");
-}
-
 /// The help text is generated from the declarative flag table; pin it
 /// in full so any flag addition, removal, or rewording shows up as a
 /// reviewed diff.
@@ -349,7 +245,6 @@ options:
   --input-check          run the input-sensitivity check (paper \u{a7}3)
   --csv PREFIX           write PREFIX_summary.csv and PREFIX_breakdowns.csv
   --metrics-out PATH     write the phase/throughput metrics JSON to PATH
-  --bench N              repeat the analysis N times, summarize into --metrics-out
   --trace-out PATH       write a Chrome trace-event JSON document to PATH
   --interval N           sample each measurement every N instructions
   --interval-out PATH    write the interval series as JSONL to PATH
@@ -430,14 +325,6 @@ fn top_without_profile_output_fails_with_message() {
     ]);
     assert!(out.status.success(), "stderr: {}", stderr_of(&out));
     std::fs::remove_file(std::env::temp_dir().join("instrep-top-loops.json")).ok();
-}
-
-#[test]
-fn bench_excludes_profiling() {
-    let out = run(&["--bench", "2", "--metrics-out", "m.json", "--profile-out", "p.json"]);
-    assert!(!out.status.success());
-    let err = stderr_of(&out);
-    assert!(err.contains("--bench cannot be combined with --profile-out"), "stderr: {err}");
 }
 
 #[test]
@@ -623,14 +510,6 @@ fn loops_flags_reject_missing_arguments() {
         let err = stderr_of(&out);
         assert!(err.contains(msg), "{args:?} stderr: {err}");
     }
-}
-
-#[test]
-fn bench_excludes_loops_outputs() {
-    let out = run(&["--bench", "2", "--metrics-out", "m.json", "--loops-out", "l.json"]);
-    assert!(!out.status.success());
-    let err = stderr_of(&out);
-    assert!(err.contains("--bench cannot be combined with --loops-out"), "stderr: {err}");
 }
 
 #[test]
@@ -1028,13 +907,6 @@ fn cache_flags_reject_bad_usage() {
     let out = run(&["--cache-verify"]);
     assert!(!out.status.success());
     assert!(stderr_of(&out).contains("--cache-verify requires --cache-dir"), "{}", stderr_of(&out));
-    let out = run(&["--bench", "2", "--metrics-out", "m.json", "--cache-dir", "c"]);
-    assert!(!out.status.success());
-    assert!(
-        stderr_of(&out).contains("--bench cannot be combined with --cache-dir"),
-        "{}",
-        stderr_of(&out)
-    );
 }
 
 /// `--cache-dir` must never change a byte of table stdout — not on the
@@ -1212,27 +1084,6 @@ fn zero_or_garbage_heartbeat_period_fails_with_message() {
     let out = run(&["--heartbeat-out", "hb.jsonl", "--heartbeat-ms", "soon"]);
     assert!(!out.status.success());
     assert!(stderr_of(&out).contains("bad heartbeat period `soon`"), "{}", stderr_of(&out));
-}
-
-#[test]
-fn bench_excludes_telemetry_outputs() {
-    for extra in [
-        &["--heartbeat-out", "hb.jsonl", "--heartbeat-ms", "10"] as &[&str],
-        &["--telemetry-out", "t.txt"],
-        &["--progress"],
-    ] {
-        let mut args = vec!["--bench", "2", "--metrics-out", "m.json"];
-        args.extend_from_slice(extra);
-        let out = run(&args);
-        assert!(!out.status.success(), "{args:?} unexpectedly succeeded");
-        let err = stderr_of(&out);
-        assert!(
-            err.contains(
-                "--bench cannot be combined with --heartbeat-out, --telemetry-out, or --progress"
-            ),
-            "{args:?} stderr: {err}"
-        );
-    }
 }
 
 /// `--progress` must degrade to a no-op when stderr is not a terminal

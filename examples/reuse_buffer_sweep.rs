@@ -4,7 +4,10 @@
 //! Sweeps buffer size × associativity for one workload and prints the
 //! fraction of repetition captured by each geometry — showing how far
 //! the paper's 8K/4-way point sits from the asymptote (its Table 10
-//! observation that "there is still room for improvement").
+//! observation that "there is still room for improvement"). First it
+//! prints how much repetition the tracker detects when each static
+//! instruction buffers at most 1, 16, 256 or the paper's 2,000 unique
+//! instances.
 //!
 //! ```text
 //! cargo run --release --example reuse_buffer_sweep [workload]
@@ -33,6 +36,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         tracker.dynamic_total(),
         tracker.repetition_rate() * 100.0
     );
+
+    println!("{:<10}{:>18}", "cap", "% insts repeated");
+    println!("{}", "-".repeat(28));
+    for cap in [1usize, 16, 256, 2000] {
+        let mut t = RepetitionTracker::new(TrackerConfig { max_instances: cap }, image.text.len());
+        for ev in trace.events() {
+            t.observe(ev);
+        }
+        let marker = if cap == TrackerConfig::default().max_instances { "   <- paper" } else { "" };
+        println!("{cap:<10}{:>17.1}%{marker}", t.repetition_rate() * 100.0);
+    }
+    println!();
 
     println!(
         "{:<10}{:>8}{:>16}{:>22}",

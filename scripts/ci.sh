@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Full local CI gate. Mirrors what the tier-1 check runs, plus lints.
 # Everything is offline: the workspace has zero registry dependencies
-# (see third_party/ for the in-tree proptest/criterion shims).
+# (see third_party/ for the in-tree proptest shim).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -22,6 +22,12 @@ cargo test -q --workspace --offline --features proptest
 
 echo "==> golden snapshots (byte-for-byte table output)"
 cargo test -q -p instrep-repro --offline --test golden
+
+# The benchmark is its own workspace, so nothing above builds it or
+# compiles its calls into instrep-core's API. Its test runs every
+# workload at tiny scale and checks that every count repeats exactly.
+echo "==> benchmark self-test (perfbench, tiny scale)"
+python3 benchmark/test_run.py
 
 # Each export's schema is checked by the instrep-repro CLI tests, which
 # parse the document; the smoke runs below check that every output

@@ -1,9 +1,11 @@
 //! Allocation gate: a job allocates in proportion to the simulated pages
-//! it touches, not to the size of the 32-bit address space.
+//! it touches, not to the size of the 32-bit address space, and each
+//! workload family's tiny job stays within a pinned allocation count and
+//! byte total.
 //!
-//! A counting global allocator tallies the bytes requested on the thread
-//! that armed it, so tests running in parallel do not see each other. A
-//! one-job `Session` runs inline on the calling thread
+//! A counting global allocator tallies the allocations and bytes requested
+//! on the thread that armed it, so tests running in parallel do not see
+//! each other. A one-job `Session` runs inline on the calling thread
 //! (`parallel_map_indexed` spawns no thread for one item), so the tally
 //! covers the whole job: machine, observers, finalize and report.
 
@@ -11,14 +13,16 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use instrep::sim::Memory;
+use instrep::workloads::{all, Scale};
 use instrep::{AnalysisConfig, Session};
 
-/// [`System`] plus a per-thread byte counter. `realloc` counts as one
-/// allocation of the new size.
+/// [`System`] plus per-thread allocation and byte counters. `realloc`
+/// counts as one allocation of the new size.
 struct Counting;
 
 thread_local! {
     static ARMED: Cell<bool> = const { Cell::new(false) };
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
     static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
@@ -27,6 +31,7 @@ fn count(size: usize) {
     // down.
     let _ = ARMED.try_with(|armed| {
         if armed.get() {
+            ALLOCS.with(|n| n.set(n.get() + 1));
             BYTES.with(|b| b.set(b.get() + size as u64));
         }
     });
@@ -64,23 +69,30 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
-/// Runs `f` and returns the bytes it requested on this thread, with its
+/// What one closure requested from the allocator on this thread.
+struct Tally {
+    allocs: u64,
+    bytes: u64,
+}
+
+/// Runs `f` and returns what it requested on this thread, with its
 /// result (dropped by the caller, outside the count).
-fn allocated<R>(f: impl FnOnce() -> R) -> (u64, R) {
+fn allocated<R>(f: impl FnOnce() -> R) -> (Tally, R) {
+    ALLOCS.with(|n| n.set(0));
     BYTES.with(|b| b.set(0));
     ARMED.with(|a| a.set(true));
     let out = f();
     ARMED.with(|a| a.set(false));
-    (BYTES.with(Cell::get), out)
+    (Tally { allocs: ALLOCS.with(Cell::get), bytes: BYTES.with(Cell::get) }, out)
 }
 
 #[test]
 fn empty_memory_costs_one_page_table_root() {
     // The root of the two-level table is 1,024 pointers (8 KiB); a flat
     // table over all 2^20 pages would be 8 MiB.
-    let (bytes, mem) = allocated(Memory::new);
+    let (used, mem) = allocated(Memory::new);
     assert_eq!(mem.resident_pages(), 0);
-    assert!(bytes <= 16 * 1024, "Memory::new() allocated {bytes} B, bound 16 KiB");
+    assert!(used.bytes <= 16 * 1024, "Memory::new() allocated {} B, bound 16 KiB", used.bytes);
 }
 
 #[test]
@@ -89,9 +101,55 @@ fn trivial_job_allocates_under_a_mebibyte() {
     // must cost what the program touches (a few pages here), not a
     // table sized for the whole address space.
     let image = instrep::minicc::build("int main() { return 7; }").expect("program builds");
-    let (bytes, run) =
+    let (used, run) =
         allocated(|| Session::new(AnalysisConfig::default()).run_one(&image, Vec::new()));
     let run = run.expect("job runs");
     assert!(run.report.dynamic_total > 0);
+    let bytes = used.bytes;
     assert!(bytes <= 1 << 20, "Session::run_one of a trivial job allocated {bytes} B, bound 1 MiB");
+}
+
+/// `(family, allocations, bytes)` of one `Session::run_one` at
+/// `Scale::Tiny`, seed 1998, with the CLI's tiny windows (skip 20,000,
+/// window 400,000). Each pin is the measured count, which repeats exactly
+/// from run to run and is the same in debug and release builds. A change
+/// that lowers a count lowers its pin with it.
+const TINY_JOB_PINS: [(&str, u64, u64); 10] = [
+    ("go", 5_907, 3_102_304),
+    ("m88ksim", 17_726, 1_657_050),
+    ("ijpeg", 4_925, 4_464_696),
+    ("perl", 6_726, 4_251_837),
+    ("vortex", 20_628, 6_426_645),
+    ("li", 20_632, 2_272_924),
+    ("gcc", 11_385, 6_027_269),
+    ("compress", 10_688, 9_635_998),
+    ("interp", 7_419, 1_950_946),
+    ("stencil", 714, 4_542_224),
+];
+
+#[test]
+fn tiny_family_jobs_stay_within_their_allocation_pins() {
+    let cfg = AnalysisConfig { skip: 20_000, window: 400_000, ..AnalysisConfig::default() };
+    let mut over = Vec::new();
+    for wl in all() {
+        let &(_, max_allocs, max_bytes) = TINY_JOB_PINS
+            .iter()
+            .find(|(name, ..)| *name == wl.name)
+            .unwrap_or_else(|| panic!("{} has no allocation pin", wl.name));
+        let image = wl.build().expect("family builds");
+        let input = wl.input(Scale::Tiny, 1998);
+        let (used, run) = allocated(|| Session::new(cfg).run_one(&image, input));
+        let events = run.expect("job runs").report.dynamic_total;
+        eprintln!(
+            "{}: {} allocations, {} B over {events} events",
+            wl.name, used.allocs, used.bytes
+        );
+        if used.allocs > max_allocs {
+            over.push(format!("{}: {} allocations, pin {max_allocs}", wl.name, used.allocs));
+        }
+        if used.bytes > max_bytes {
+            over.push(format!("{}: {} B, pin {max_bytes} B", wl.name, used.bytes));
+        }
+    }
+    assert!(over.is_empty(), "tiny jobs over their allocation pins:\n{}", over.join("\n"));
 }
