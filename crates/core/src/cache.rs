@@ -59,13 +59,14 @@
 use std::hash::Hasher;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Instant;
 
 use instrep_asm::Image;
 use instrep_sim::RunOutcome;
 
 use crate::coverage::Coverage;
 use crate::fxhash::FxHasher;
-use crate::metrics::PhaseTimer;
+use crate::metrics::ns_between;
 use crate::pipeline::{AnalysisConfig, WorkloadReport};
 use crate::telemetry::{Counter, Histogram, TelemetryRegistry};
 
@@ -333,7 +334,7 @@ impl AnalysisCache {
     /// miss — absent, truncated, corrupt, or version-mismatched entries
     /// all degrade to a silent recomputation (see the module docs).
     pub fn load(&self, key: &CacheKey) -> Option<WorkloadReport> {
-        let timer = self.telemetry.as_ref().map(|_| PhaseTimer::start());
+        let start = self.telemetry.as_ref().map(|_| Instant::now());
         let report = match std::fs::read(self.entry_path(key)) {
             Err(_) => {
                 // Absent (or unreadable) entry: a plain miss.
@@ -357,8 +358,8 @@ impl AnalysisCache {
                 report
             }
         };
-        if let (Some(t), Some(timer)) = (&self.telemetry, timer) {
-            t.lookup_ns.record(timer.elapsed_ns());
+        if let (Some(t), Some(start)) = (&self.telemetry, start) {
+            t.lookup_ns.record(ns_between(start, Instant::now()));
         }
         report
     }
@@ -375,7 +376,7 @@ impl AnalysisCache {
     /// Returns the underlying I/O error; callers that treat the cache
     /// as best-effort (the pipeline does) may ignore it.
     pub fn store(&self, key: &CacheKey, report: &WorkloadReport) -> std::io::Result<()> {
-        let timer = self.telemetry.as_ref().map(|_| PhaseTimer::start());
+        let start = self.telemetry.as_ref().map(|_| Instant::now());
         let bytes = entry_bytes(key, &encode_report(report));
         let seq = STORE_SEQ.fetch_add(1, Ordering::Relaxed);
         // Fixed width: every store's name, and so its allocation count,
@@ -386,8 +387,8 @@ impl AnalysisCache {
         if result.is_err() {
             std::fs::remove_file(&tmp).ok();
         }
-        if let (Some(t), Some(timer)) = (&self.telemetry, timer) {
-            t.write_ns.record(timer.elapsed_ns());
+        if let (Some(t), Some(start)) = (&self.telemetry, start) {
+            t.write_ns.record(ns_between(start, Instant::now()));
             if result.is_ok() {
                 t.store.inc();
             }
@@ -726,8 +727,7 @@ impl<'a> Dec<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::run_probed;
-    use crate::Probes;
+    use crate::pipeline::{run_probed, Probes};
     use instrep_minicc::build;
     use instrep_sim::InterpTier;
 
@@ -749,7 +749,8 @@ mod tests {
         .unwrap();
         let cfg = AnalysisConfig::default();
         let report =
-            run_probed(&image, Vec::new(), &cfg, InterpTier::default(), Probes::none()).unwrap();
+            run_probed(&image, Vec::new(), &cfg, InterpTier::default(), &mut Probes::none())
+                .unwrap();
         (image, cfg, report)
     }
 

@@ -27,9 +27,9 @@
 //!   results (`instrep-repro --cache-dir`): a hit skips simulation
 //!   entirely and still renders byte-identical tables.
 //! * [`report`] — text renderers matching the paper's table layouts.
-//! * [`metrics`] — pull-based observability: phase timers, throughput,
-//!   occupancy gauges, and the versioned JSON documents behind
-//!   `instrep-repro --metrics-out` and the `BENCH_*.json` trajectory.
+//! * [`metrics`] — pull-based observability: phase wall times, throughput,
+//!   occupancy gauges, and the versioned JSON document behind
+//!   `instrep-repro --metrics-out`.
 //! * [`telemetry`] — live observability: a shared registry of named
 //!   atomic counters/gauges/latency histograms updated from the hot
 //!   paths with relaxed ordering, a wall-clock heartbeat sampler
@@ -118,7 +118,7 @@ pub use loops::{
 pub use metrics::{MetricsReport, PhaseMetrics, WorkloadMetrics, METRICS_SCHEMA_VERSION};
 pub use pipeline::{
     default_parallelism, steady_state_check, AnalysisConfig, AnalysisJob, InstrumentedReport,
-    Probes, WorkloadReport,
+    WorkloadReport,
 };
 pub use predict::{PredictStats, StrideStats, ValuePredictors};
 pub use profile::{
@@ -131,5 +131,5 @@ pub use telemetry::{
     HeartbeatConfig, HeartbeatSampler, LanePhase, PipelineTelemetry, TelemetryRegistry,
     TelemetrySnapshot, TELEMETRY_SCHEMA_VERSION,
 };
-pub use trace_span::{OpenSpan, Span, SpanLane, SpanTracer, TRACE_SCHEMA_VERSION};
+pub use trace_span::{Span, SpanLane, SpanTracer, TRACE_SCHEMA_VERSION};
 pub use tracker::{RepetitionTracker, StaticStats, TrackerConfig};

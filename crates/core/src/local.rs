@@ -273,8 +273,9 @@ struct LocalFrame {
     func: Option<usize>,
     /// Registers not yet written in this frame (prologue-save candidates).
     unwritten: u32,
-    /// Stack addresses written by prologue saves.
-    saved_slots: Vec<u32>,
+    /// Where this frame's prologue saves start in
+    /// [`LocalAnalysis::saved_slots`].
+    saved_from: usize,
 }
 
 /// The local (within-function) categorization analysis.
@@ -291,6 +292,11 @@ pub struct LocalAnalysis {
     /// Tagged stack words (occupancy gauge; kept incrementally).
     stack_tag_count: u64,
     frames: Vec<LocalFrame>,
+    /// Stack addresses written by prologue saves, for every frame on
+    /// the call stack: a frame's own slots run from its `saved_from` to
+    /// the end, and a return truncates them away. One stack for all
+    /// frames, so a call allocates nothing.
+    saved_slots: Vec<u32>,
     counts: LocalCounts,
     /// Prologue+epilogue repetition per function (paper Table 9).
     pe_repeats: Vec<u64>,
@@ -326,7 +332,8 @@ impl LocalAnalysis {
             gaddr: 0,
             stack_tags: ShadowPages::default(),
             stack_tag_count: 0,
-            frames: vec![LocalFrame { func: None, unwritten: 0, saved_slots: Vec::new() }],
+            frames: vec![LocalFrame { func: None, unwritten: 0, saved_from: 0 }],
+            saved_slots: Vec::new(),
             counts: LocalCounts::default(),
             pe_repeats: vec![0; image.funcs.len()],
             pe_total: 0,
@@ -485,9 +492,9 @@ impl LocalAnalysis {
             // stack.
             if let Some(mem) = ev.mem {
                 if region == Some(Region::Stack) {
-                    let frame = self.frames.last_mut().expect("frame stack never empty");
+                    let frame = self.frames.last().expect("frame stack never empty");
                     if (frame.unwritten >> m.rt) & 1 == 1 && f & LM_BASE_SP != 0 {
-                        frame.saved_slots.push(mem.addr);
+                        self.saved_slots.push(mem.addr);
                         return LocalCat::Prologue;
                     }
                 }
@@ -497,7 +504,7 @@ impl LocalAnalysis {
             if let Some(mem) = ev.mem {
                 if region == Some(Region::Stack) && f & LM_BASE_SP != 0 {
                     let frame = self.frames.last().expect("frame stack never empty");
-                    if frame.saved_slots.contains(&mem.addr) {
+                    if self.saved_slots[frame.saved_from..].contains(&mem.addr) {
                         return LocalCat::Epilogue;
                     }
                 }
@@ -609,16 +616,14 @@ impl LocalAnalysis {
                 for i in 0..arity.min(4) {
                     unwritten &= !(1 << Reg::arg(i).expect("register argument").number());
                 }
-                self.frames.push(LocalFrame { func, unwritten, saved_slots: Vec::new() });
+                let saved_from = self.saved_slots.len();
+                self.frames.push(LocalFrame { func, unwritten, saved_from });
             }
             Some(CtrlEffect::Return { .. }) => {
-                self.frames.pop();
+                let frame = self.frames.pop().expect("frame stack never empty");
+                self.saved_slots.truncate(frame.saved_from);
                 if self.frames.is_empty() {
-                    self.frames.push(LocalFrame {
-                        func: None,
-                        unwritten: 0,
-                        saved_slots: Vec::new(),
-                    });
+                    self.frames.push(LocalFrame { func: None, unwritten: 0, saved_from: 0 });
                 }
                 // The caller sees the callee's result as a return value.
                 self.set_tag(Reg::V0, SrcTag::ReturnValue);

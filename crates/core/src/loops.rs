@@ -26,13 +26,13 @@
 //! back edge and are invisible, and a loop body's first iteration up to
 //! the first back edge is attributed to the enclosing path.
 //!
-//! The profiler rides [`Probes`](crate::Probes) like every
-//! observability layer: zero-cost when off, and incapable of perturbing
-//! the [`crate::WorkloadReport`]. At finalize it joins the tracker's
-//! per-static statistics against the recorded path assignments and the
-//! image's function/line metadata, producing a [`LoopNestProfile`];
-//! [`LoopsReport`] renders the schema-v1 JSON (`--loops-out`) and the
-//! collapsed-stack form (`--loops-folded`).
+//! The profiler is one of the pipeline's probes, attached with
+//! [`Session::loops`](crate::Session::loops): zero-cost when off, and
+//! incapable of perturbing the [`crate::WorkloadReport`]. At finalize
+//! it joins the tracker's per-static statistics against the recorded
+//! path assignments and the image's function/line metadata, producing
+//! a [`LoopNestProfile`]; [`LoopsReport`] renders the schema-v1 JSON
+//! (`--loops-out`) and the collapsed-stack form (`--loops-folded`).
 
 use instrep_asm::Image;
 use instrep_sim::{CtrlEffect, Event};

@@ -1,9 +1,9 @@
-//! Observability layer for the analysis pipeline: phase timers,
+//! Observability layer for the analysis pipeline: phase wall times,
 //! event-throughput counters, per-analysis occupancy gauges, and peak-RSS
 //! sampling, emitted as a versioned machine-readable JSON document.
 //!
-//! Collection is strictly *pull-based*: the pipeline samples monotonic
-//! timestamps at phase boundaries and queries each analysis for its table
+//! Collection is strictly *pull-based*: the pipeline reads the monotonic
+//! clock once per phase boundary and queries each analysis for its table
 //! occupancy after the run. Nothing executes per event, so enabling
 //! metrics cannot perturb the analyses' output — the tables stay
 //! byte-identical with metrics on or off, for every `--jobs` count — and
@@ -21,33 +21,24 @@ use crate::json::{JsonWriter, Layout};
 /// to field names, meanings, or structure.
 pub const METRICS_SCHEMA_VERSION: u32 = 1;
 
-/// A monotonic-clock stopwatch for one pipeline phase.
+/// Nanoseconds from `start` to `end` on the monotonic clock: 0 when
+/// `end` is earlier, saturating at `u64::MAX`. Every duration the
+/// crate exports is converted here, so two sinks handed the same pair
+/// of instants report the same figure.
 ///
 /// # Examples
 ///
 /// ```
-/// use instrep_core::metrics::PhaseTimer;
+/// use std::time::{Duration, Instant};
+/// use instrep_core::metrics::ns_between;
 ///
-/// let t = PhaseTimer::start();
-/// let ns = t.elapsed_ns();
-/// assert!(t.elapsed_ns() >= ns);
+/// let t0 = Instant::now();
+/// let t1 = t0 + Duration::from_micros(3);
+/// assert_eq!(ns_between(t0, t1), 3_000);
+/// assert_eq!(ns_between(t1, t0), 0);
 /// ```
-#[derive(Debug, Clone, Copy)]
-pub struct PhaseTimer {
-    start: Instant,
-}
-
-impl PhaseTimer {
-    /// Starts the stopwatch.
-    pub fn start() -> PhaseTimer {
-        PhaseTimer { start: Instant::now() }
-    }
-
-    /// Nanoseconds elapsed since [`PhaseTimer::start`]. Monotonic —
-    /// never goes backwards, even if the wall clock is adjusted.
-    pub fn elapsed_ns(&self) -> u64 {
-        u64::try_from(self.start.elapsed().as_nanos()).unwrap_or(u64::MAX)
-    }
+pub fn ns_between(start: Instant, end: Instant) -> u64 {
+    u64::try_from(end.saturating_duration_since(start).as_nanos()).unwrap_or(u64::MAX)
 }
 
 /// Wall time and event count for one phase of one workload's analysis.
@@ -103,11 +94,6 @@ pub struct WorkloadMetrics {
 }
 
 impl WorkloadMetrics {
-    /// Appends a completed phase from a running [`PhaseTimer`].
-    pub fn record_phase(&mut self, name: &'static str, timer: PhaseTimer, events: u64) {
-        self.record_phase_ns(name, timer.elapsed_ns(), events);
-    }
-
     /// Appends a completed phase from a raw nanosecond duration.
     pub fn record_phase_ns(&mut self, name: &'static str, wall_ns: u64, events: u64) {
         self.phases.push(PhaseMetrics { name, wall_ns, events });

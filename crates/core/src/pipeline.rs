@@ -12,6 +12,8 @@
 //! served their one release of deprecation and are gone —
 //! `scripts/ci.sh` greps the tree so they cannot reappear.
 
+use std::time::Instant;
+
 use instrep_asm::Image;
 use instrep_isa::abi::{self, Region};
 use instrep_sim::{Event, InterpTier, Machine, RunOutcome, SimError};
@@ -23,12 +25,12 @@ use crate::global::{GlobalAnalysis, GlobalCounts};
 use crate::interval::{IntervalSampler, IntervalWindow};
 use crate::local::{LocalAnalysis, LocalCounts};
 use crate::loops::{LoopNestProfile, LoopProfiler};
-use crate::metrics::{PhaseTimer, WorkloadMetrics};
+use crate::metrics::{ns_between, WorkloadMetrics};
 use crate::predict::{PredictStats, StrideStats, ValuePredictors};
 use crate::profile::InstructionProfile;
 use crate::reuse::{ReuseBuffer, ReuseConfig, ReuseStats};
 use crate::telemetry::{LanePhase, LiveCount, PipelineTelemetry};
-use crate::trace_span::{OpenSpan, SpanLane};
+use crate::trace_span::SpanLane;
 use crate::tracker::{RepetitionTracker, TrackerConfig};
 
 /// Configuration for an analysis run ([`Session`](crate::Session)).
@@ -161,45 +163,128 @@ impl WorkloadReport {
 /// `Option<&mut …>` pattern: any subset may be attached, none of them
 /// can perturb the [`WorkloadReport`], and an all-`None` bundle is the
 /// plain uninstrumented path. [`Session`](crate::Session) assembles
-/// this bundle internally from its builder flags.
+/// one bundle per job from its builder flags.
+///
+/// The metrics, the span lane and the telemetry handle are the *phase
+/// sinks*. At each phase boundary the bundle reads the clock once, when
+/// any of them is attached, and hands every attached sink the same
+/// [`PhaseRecord`].
 #[derive(Debug, Default)]
-pub struct Probes<'a> {
-    /// Phase timers, throughput, and end-of-run gauges (`core::metrics`).
-    pub metrics: Option<&'a mut WorkloadMetrics>,
-    /// Span lane for Chrome-trace export (`core::trace_span`); one
-    /// span per pipeline phase is recorded into it.
-    pub spans: Option<&'a mut SpanLane>,
+pub(crate) struct Probes<'a> {
+    /// Phase wall times, throughput, and end-of-run gauges
+    /// (`core::metrics`).
+    pub(crate) metrics: Option<&'a mut WorkloadMetrics>,
+    /// Span lane for Chrome-trace export (`core::trace_span`): one span
+    /// per phase, and one `workload` span per job.
+    pub(crate) spans: Option<&'a mut SpanLane>,
     /// Windowed repetition time-series sampler (`core::interval`),
     /// driven every retired instruction of the measurement phase.
-    pub sampler: Option<&'a mut IntervalSampler>,
+    pub(crate) sampler: Option<&'a mut IntervalSampler>,
     /// Per-static-instruction attribution profile (`core::profile`),
     /// filled once during finalize from the tracker's per-PC counters —
     /// no per-event cost at all.
-    pub profile: Option<&'a mut InstructionProfile>,
+    pub(crate) profile: Option<&'a mut InstructionProfile>,
     /// Live lane telemetry (`core::telemetry`): current phase, batched
     /// instruction counts, and per-phase wall-time counters, published
     /// through relaxed atomics for the wall-clock heartbeat sampler. A
     /// shared reference — unlike the other probes it is read
     /// concurrently while the run executes.
-    pub telemetry: Option<&'a PipelineTelemetry>,
+    pub(crate) telemetry: Option<&'a PipelineTelemetry>,
     /// Dynamic loop-nest profiler (`core::loops`): online back-edge
     /// loop detection plus a per-event path assignment, joined against
     /// the tracker's per-static stats at finalize.
-    pub loops: Option<&'a mut LoopProfiler>,
+    pub(crate) loops: Option<&'a mut LoopProfiler>,
+    /// The phase under way and the boundary instant it started at.
+    open: Option<(LanePhase, Instant)>,
+    /// The job's first boundary instant: where its `workload` span
+    /// starts.
+    job_start: Option<Instant>,
+}
+
+/// One finished phase of one job: the phase, the two boundary instants
+/// that bound it, and the simulator events it retired. Every phase sink
+/// takes its duration from the same two instants, so the metrics, the
+/// trace and the telemetry counters agree to the nanosecond, and a phase
+/// ends at exactly the instant the next one starts.
+#[derive(Debug)]
+struct PhaseRecord {
+    phase: LanePhase,
+    start: Instant,
+    end: Instant,
+    events: u64,
 }
 
 impl Probes<'_> {
     /// No probes attached: exactly the uninstrumented path.
-    pub fn none() -> Probes<'static> {
+    pub(crate) fn none() -> Probes<'static> {
         Probes::default()
+    }
+
+    /// One phase boundary: ends the phase under way, which retired
+    /// `events`, and starts `next`, if given, at the same clock read.
+    /// Reads no clock when no phase sink is attached; otherwise returns
+    /// the instant it read.
+    pub(crate) fn boundary(&mut self, events: u64, next: Option<LanePhase>) -> Option<Instant> {
+        if self.metrics.is_none() && self.spans.is_none() && self.telemetry.is_none() {
+            return None;
+        }
+        let now = Instant::now();
+        if let Some((phase, start)) = self.open.take() {
+            self.record(PhaseRecord { phase, start, end: now, events });
+        }
+        if let Some(phase) = next {
+            if let Some(t) = self.telemetry {
+                t.lane().set_phase(phase);
+            }
+            self.job_start.get_or_insert(now);
+            self.open = Some((phase, now));
+        }
+        Some(now)
+    }
+
+    /// Hands `r` to every attached phase sink.
+    fn record(&mut self, r: PhaseRecord) {
+        let ns = ns_between(r.start, r.end);
+        let name = r.phase.name();
+        if let Some(m) = self.metrics.as_deref_mut() {
+            m.record_phase_ns(name, ns, r.events);
+        }
+        if let Some(l) = self.spans.as_deref_mut() {
+            l.push(name, "phase", r.start, r.end, r.events);
+        }
+        if let Some(t) = self.telemetry {
+            t.add_phase_ns(r.phase, ns);
+        }
+    }
+
+    /// The job's last boundary. A job that produced a report ends the
+    /// phase still under way (a cache hit's lookup) and its `workload`
+    /// span, labelled `label`, at one clock read; a failed job records
+    /// neither. Either way the telemetry lane counts the job and goes
+    /// idle.
+    pub(crate) fn end_job(mut self, label: &str, ok: bool) {
+        if ok {
+            let end = self.boundary(0, None);
+            if let (Some(l), Some(start), Some(end)) =
+                (self.spans.as_deref_mut(), self.job_start, end)
+            {
+                l.push(label, "workload", start, end, 0);
+            }
+        }
+        if let Some(t) = self.telemetry {
+            t.lane().job_done();
+            t.lane().set_phase(LanePhase::Idle);
+            t.lane().set_label("");
+        }
     }
 }
 
 /// One simulation pass with any combination of [`Probes`] attached —
 /// the entry everything else (the `Session` builder,
-/// `steady_state_check`) runs on.
+/// `steady_state_check`) runs on. Its phases continue the job's phase
+/// sequence: the first boundary ends a cache lookup still under way.
 ///
-/// Metrics and spans sample the clock at phase boundaries only; the
+/// The phase sinks read the clock at phase boundaries only; the
 /// interval sampler, the loop profiler and the telemetry tick are
 /// `Option`s checked per event. None of them feed back into the
 /// analyses, so the report is byte-identical whatever is attached.
@@ -208,9 +293,9 @@ pub(crate) fn run_probed(
     input: Vec<u8>,
     cfg: &AnalysisConfig,
     interp: InterpTier,
-    mut probes: Probes<'_>,
+    probes: &mut Probes<'_>,
 ) -> Result<WorkloadReport, SimError> {
-    let phase = probes.begin(LanePhase::Setup);
+    probes.boundary(0, Some(LanePhase::Setup));
     let mut machine = Machine::with_tier(image, interp);
     machine.set_input(input);
     let mut obs = Observers::new(image, cfg);
@@ -225,12 +310,11 @@ pub(crate) fn run_probed(
     let data_end = image.data_end();
     let region_of =
         |ev: &Event| ev.mem.map(|m| abi::region_of(m.addr, data_end, abi::STACK_REGION_BASE));
-    probes.end(phase, 0);
 
     // Skip phase: propagate analysis state without counting. The tracker
     // is idle during the skip (buffering starts with measurement, as in
     // the paper).
-    let phase = probes.begin(LanePhase::Skip);
+    probes.boundary(0, Some(LanePhase::Skip));
     let mut outcome = RunOutcome::MaxedOut;
     if cfg.skip > 0 {
         outcome = machine.run(cfg.skip, |ev| {
@@ -246,11 +330,10 @@ pub(crate) fn run_probed(
     if let Some(l) = live.as_mut() {
         l.flush();
     }
-    probes.end(phase, machine.icount());
 
     // Measurement window. The sampler reads gauges only at window
     // boundaries.
-    let phase = probes.begin(LanePhase::Measure);
+    probes.boundary(machine.icount(), Some(LanePhase::Measure));
     let measured_from = machine.icount();
     if machine.exit_code().is_none() {
         outcome = machine.run(cfg.window, |ev| {
@@ -276,9 +359,8 @@ pub(crate) fn run_probed(
         let (repeated, reuse_hits, buffered) = obs.sampler_gauges();
         s.finish(repeated, reuse_hits, buffered);
     }
-    probes.end(phase, machine.icount() - measured_from);
 
-    let phase = probes.begin(LanePhase::Finalize);
+    probes.boundary(machine.icount() - measured_from, Some(LanePhase::Finalize));
     let Observers { tracker, global, function, local, reuse, classes, values } = &obs;
     let static_stats = tracker.static_stats();
     let (prologue_top, prologue_coverage) = local.prologue_report(cfg.top_k);
@@ -342,44 +424,9 @@ pub(crate) fn run_probed(
         m.gauge("sim_resident_bytes", fp.resident_bytes as u64);
         m.gauge("sim_output_bytes", fp.output_bytes as u64);
     }
-    probes.end(phase, 0);
+    probes.boundary(0, None);
 
     Ok(report)
-}
-
-/// One pipeline phase's open clocks: the metrics timer, the trace span
-/// and the telemetry timer, each present when its probe is attached.
-struct OpenPhase {
-    phase: LanePhase,
-    timer: Option<PhaseTimer>,
-    span: Option<OpenSpan>,
-    lane: Option<PhaseTimer>,
-}
-
-impl Probes<'_> {
-    /// Opens `phase` on every attached phase clock.
-    fn begin(&mut self, phase: LanePhase) -> OpenPhase {
-        OpenPhase {
-            phase,
-            timer: self.metrics.as_ref().map(|_| PhaseTimer::start()),
-            span: self.spans.as_mut().map(|l| l.begin()),
-            lane: self.telemetry.map(|t| t.begin(phase)),
-        }
-    }
-
-    /// Closes `open`, recording `events` retired instructions.
-    fn end(&mut self, open: OpenPhase, events: u64) {
-        let name = open.phase.name();
-        if let (Some(m), Some(t)) = (self.metrics.as_deref_mut(), open.timer) {
-            m.record_phase(name, t, events);
-        }
-        if let (Some(l), Some(s)) = (self.spans.as_deref_mut(), open.span) {
-            l.end(s, name, "phase", events);
-        }
-        if let (Some(t), Some(lt)) = (self.telemetry, open.lane) {
-            t.end(open.phase, lt);
-        }
-    }
 }
 
 /// The seven observers behind the paper's tables, driven one event at a
@@ -542,10 +589,10 @@ pub fn steady_state_check(
     cfg: &AnalysisConfig,
     factor: u64,
 ) -> Result<f64, SimError> {
-    let short = run_probed(image, input.clone(), cfg, InterpTier::default(), Probes::none())?;
+    let short = run_probed(image, input.clone(), cfg, InterpTier::default(), &mut Probes::none())?;
     let mut long_cfg = *cfg;
     long_cfg.window = cfg.window.saturating_mul(factor);
-    let long = run_probed(image, input, &long_cfg, InterpTier::default(), Probes::none())?;
+    let long = run_probed(image, input, &long_cfg, InterpTier::default(), &mut Probes::none())?;
     let mut max_dev: f64 = 0.0;
     for cat in crate::local::LocalCat::ALL {
         let dev = (short.local.overall_share(cat) - long.local.overall_share(cat)).abs();
@@ -661,9 +708,9 @@ mod tests {
         let cfg = AnalysisConfig { skip: 500, ..AnalysisConfig::default() };
         let plain = quick(&image, &cfg);
         let mut m = WorkloadMetrics::default();
-        let probes = Probes { metrics: Some(&mut m), ..Probes::none() };
+        let mut probes = Probes { metrics: Some(&mut m), ..Probes::none() };
         let instrumented =
-            run_probed(&image, Vec::new(), &cfg, InterpTier::default(), probes).unwrap();
+            run_probed(&image, Vec::new(), &cfg, InterpTier::default(), &mut probes).unwrap();
         assert_eq!(format!("{plain:?}"), format!("{instrumented:?}"));
         // Phases arrive in pipeline order with the right event counts.
         let names: Vec<&str> = m.phases.iter().map(|p| p.name).collect();
@@ -719,13 +766,14 @@ mod tests {
             Vec::new(),
             &cfg,
             InterpTier::default(),
-            Probes {
+            &mut Probes {
                 metrics: Some(&mut m),
                 spans: Some(&mut lane),
                 sampler: Some(&mut sampler),
                 profile: Some(&mut profile),
                 telemetry: Some(&tel),
                 loops: Some(&mut lp),
+                ..Probes::none()
             },
         )
         .unwrap();
@@ -770,7 +818,7 @@ mod tests {
             Vec::new(),
             &cfg,
             InterpTier::default(),
-            Probes { sampler: Some(&mut sampler), ..Probes::none() },
+            &mut Probes { sampler: Some(&mut sampler), ..Probes::none() },
         )
         .unwrap();
         assert_eq!(report.dynamic_total, 2000, "window must truncate exactly");

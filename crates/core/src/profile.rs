@@ -9,10 +9,11 @@
 //! metadata, and opcode class, attributing every counted instruction to
 //! `function + MiniC source line + class`.
 //!
-//! The profile rides [`crate::Probes`] like the other observability
-//! layers: it is pull-based (filled once, in the pipeline's finalize
-//! phase, from state the tracker accumulates anyway), costs nothing per
-//! event, and cannot perturb the [`crate::WorkloadReport`].
+//! The profile is one of the pipeline's probes, attached with
+//! [`Session::profile`](crate::Session::profile): it is pull-based
+//! (filled once, in the pipeline's finalize phase, from state the
+//! tracker accumulates anyway), costs nothing per event, and cannot
+//! perturb the [`crate::WorkloadReport`].
 //!
 //! Three renderers feed `instrep-repro`:
 //!

@@ -56,8 +56,9 @@ const MAX_WINDOW: u64 = 25_000_000;
 /// figures use `k` up to 5.
 const MAX_TOP_K: usize = 64;
 
-/// `(skip, window)` analysis windows per scale name, mirroring
-/// `instrep-repro`'s scale handling so a daemon request for
+/// `(skip, window)` analysis windows per scale name (the names of
+/// `instrep_workloads::Scale`): the one table of them, read by
+/// `instrep-repro` and by the daemon alike, so a daemon request for
 /// `{"workload": "compress", "scale": "tiny"}` derives the same
 /// [`CacheKey`](crate::CacheKey) as the CLI run — warm daemon requests
 /// hit entries a CLI run populated and vice versa.

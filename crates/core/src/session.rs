@@ -70,10 +70,9 @@ use instrep_sim::{InterpTier, SimError};
 use crate::cache::{encode_report, AnalysisCache, CacheKey};
 use crate::interval::IntervalSampler;
 use crate::loops::LoopProfiler;
-use crate::metrics::{PhaseTimer, WorkloadMetrics};
+use crate::metrics::WorkloadMetrics;
 use crate::pipeline::{
     parallel_map_indexed, run_probed, AnalysisConfig, AnalysisJob, InstrumentedReport, Probes,
-    WorkloadReport,
 };
 use crate::profile::InstructionProfile;
 use crate::telemetry::{LanePhase, PipelineTelemetry, TelemetryRegistry};
@@ -175,7 +174,7 @@ impl<'t> Session<'t> {
         self
     }
 
-    /// Collect a [`WorkloadMetrics`] per job (phase timers, throughput,
+    /// Collect a [`WorkloadMetrics`] per job (phase wall times, throughput,
     /// occupancy gauges).
     pub fn metrics(mut self, on: bool) -> Session<'t> {
         self.metrics = on;
@@ -258,8 +257,19 @@ impl<'t> Session<'t> {
     pub fn lookup(&self, key: &CacheKey) -> Option<InstrumentedReport> {
         let cache = self.job_cache().filter(|_| !self.verify)?;
         let mut m = self.metrics.then(WorkloadMetrics::default);
-        let report = cache_phase(m.as_mut(), None, None, || cache.load(key))?;
-        Some(hit(report, m))
+        let mut probes = Probes::none();
+        probes.metrics = m.as_mut();
+        probes.boundary(0, Some(LanePhase::Cache));
+        let report = cache.load(key);
+        probes.boundary(0, None);
+        Some(InstrumentedReport {
+            report: report?,
+            metrics: m,
+            intervals: None,
+            profile: None,
+            loops: None,
+            cache: CacheOutcome::Hit,
+        })
     }
 
     /// Runs one job whose [`Session::lookup`] of `key` found nothing:
@@ -349,13 +359,23 @@ impl<'t> Session<'t> {
             if let Some(c) = &runs_started {
                 c.inc();
             }
+            if let Some(t) = tel {
+                t.lane().set_label(job.label);
+            }
+            // A probe set that can hit the cache has no sampler, profile
+            // or loop profiler, so a hit builds none of them.
             let mut m = metrics.then(WorkloadMetrics::default);
             let mut lane = epoch.map(|e| SpanLane::new(worker as u32 + 1, e));
-            let label = job.label.to_string();
-            if let Some(t) = tel {
-                t.lane().set_label(&label);
-            }
-            let job_span = lane.as_mut().map(|l| l.begin());
+            let mut sampler = interval.map(IntervalSampler::new);
+            let mut prof = profile.then(InstructionProfile::default);
+            let mut lp = loops.then(|| LoopProfiler::new(job.image.text.len()));
+            let mut probes = Probes::none();
+            probes.metrics = m.as_mut();
+            probes.spans = lane.as_mut();
+            probes.sampler = sampler.as_mut();
+            probes.profile = prof.as_mut();
+            probes.telemetry = tel;
+            probes.loops = lp.as_mut();
 
             // Cache lookup, timed as its own pipeline phase. A job whose
             // key already missed skips it, unless verify mode needs the
@@ -363,47 +383,49 @@ impl<'t> Session<'t> {
             let mut key = missed;
             let mut cached = None;
             if let Some(cache) = cache.filter(|_| missed.is_none() || verify) {
-                cached = cache_phase(m.as_mut(), lane.as_mut(), tel, || {
-                    let k =
-                        *key.get_or_insert_with(|| CacheKey::derive(job.image, &job.input, &cfg));
-                    cache.load(&k)
-                });
+                probes.boundary(0, Some(LanePhase::Cache));
+                let k = *key.get_or_insert_with(|| CacheKey::derive(job.image, &job.input, &cfg));
+                cached = cache.load(&k);
             }
 
-            if let Some(report) = cached.take_if(|_| !verify) {
+            let (result, outcome) = match cached.take_if(|_| !verify) {
                 // Pure hit: the stored report stands in for the whole
                 // simulation — zero instructions execute.
-                if let Some(l) = lane.as_mut() {
-                    l.end(job_span.expect("span opened with lane"), label, "workload", 0);
+                Some(report) => (Ok(report), CacheOutcome::Hit),
+                None => {
+                    let result = run_probed(job.image, job.input, &cfg, tier, &mut probes);
+                    let mut outcome = CacheOutcome::Uncached;
+                    if let (Some(cache), Some(key), Ok(report)) = (cache, key.as_ref(), &result) {
+                        outcome = match cached {
+                            // Verified hit: canonical encodings are equal
+                            // iff every report field is.
+                            Some(prior) if encode_report(&prior) == encode_report(report) => {
+                                if let Some(c) = &verify_ok {
+                                    c.inc();
+                                }
+                                CacheOutcome::VerifyOk
+                            }
+                            Some(_) => {
+                                if let Some(c) = &verify_mismatch {
+                                    c.inc();
+                                }
+                                CacheOutcome::VerifyMismatch
+                            }
+                            None => {
+                                // Best-effort store: a full disk costs us
+                                // the memoization, not the run.
+                                let _ = cache.store(key, report);
+                                CacheOutcome::Miss
+                            }
+                        };
+                    }
+                    (result, outcome)
                 }
-                if let Some(t) = tel {
-                    t.lane().job_done();
-                    t.lane().set_phase(LanePhase::Idle);
-                    t.lane().set_label("");
-                }
-                if let Some(c) = &runs_finished {
-                    c.inc();
-                }
-                return (Ok(hit(report, m)), lane.map(SpanLane::into_spans));
+            };
+            probes.end_job(job.label, result.is_ok());
+            if let (Some(c), Ok(_)) = (&runs_finished, &result) {
+                c.inc();
             }
-
-            let mut sampler = interval.map(IntervalSampler::new);
-            let mut prof = profile.then(InstructionProfile::default);
-            let mut lp = loops.then(|| LoopProfiler::new(job.image.text.len()));
-            let result = run_probed(
-                job.image,
-                job.input,
-                &cfg,
-                tier,
-                Probes {
-                    metrics: m.as_mut(),
-                    spans: lane.as_mut(),
-                    sampler: sampler.as_mut(),
-                    profile: prof.as_mut(),
-                    telemetry: tel,
-                    loops: lp.as_mut(),
-                },
-            );
             if let (Some((discovered, back_edges, irregular, max_depth)), Some(p)) =
                 (&loop_tel, &lp)
             {
@@ -412,45 +434,6 @@ impl<'t> Session<'t> {
                 irregular.add(p.irregular());
                 max_depth.set_max(u64::from(p.max_depth()));
             }
-
-            let mut outcome = CacheOutcome::Uncached;
-            if let (Some(cache), Some(key), Ok(report)) = (cache, key.as_ref(), &result) {
-                outcome = match cached {
-                    // Verified hit: canonical encodings are equal iff
-                    // every report field is.
-                    Some(prior) if encode_report(&prior) == encode_report(report) => {
-                        if let Some(c) = &verify_ok {
-                            c.inc();
-                        }
-                        CacheOutcome::VerifyOk
-                    }
-                    Some(_) => {
-                        if let Some(c) = &verify_mismatch {
-                            c.inc();
-                        }
-                        CacheOutcome::VerifyMismatch
-                    }
-                    None => {
-                        // Best-effort store: a full disk costs us the
-                        // memoization, not the run.
-                        let _ = cache.store(key, report);
-                        CacheOutcome::Miss
-                    }
-                };
-            }
-
-            if let (Some(l), Ok(_)) = (lane.as_mut(), &result) {
-                l.end(job_span.expect("span opened with lane"), label, "workload", 0);
-            }
-            if let Some(t) = tel {
-                t.lane().job_done();
-                t.lane().set_phase(LanePhase::Idle);
-                t.lane().set_label("");
-            }
-            if let (Some(c), Ok(_)) = (&runs_finished, &result) {
-                c.inc();
-            }
-            let spans = lane.map(SpanLane::into_spans);
             let instrumented = result.map(|report| InstrumentedReport {
                 report,
                 metrics: m,
@@ -459,7 +442,7 @@ impl<'t> Session<'t> {
                 loops: lp.map(LoopProfiler::finish),
                 cache: outcome,
             });
-            (instrumented, spans)
+            (instrumented, lane.map(SpanLane::into_spans))
         });
 
         results
@@ -484,42 +467,6 @@ impl<'t> Session<'t> {
         self.run(vec![AnalysisJob { image, input, label: "" }])
             .pop()
             .expect("one job in, one result out")
-    }
-}
-
-/// Runs `load`, timed as a job's `"cache"` phase in each probe that is
-/// on.
-fn cache_phase<R>(
-    m: Option<&mut WorkloadMetrics>,
-    mut lane: Option<&mut SpanLane>,
-    tel: Option<&PipelineTelemetry>,
-    load: impl FnOnce() -> R,
-) -> R {
-    let timer = m.as_ref().map(|_| PhaseTimer::start());
-    let span = lane.as_mut().map(|l| l.begin());
-    let lt = tel.map(|t| t.begin(LanePhase::Cache));
-    let loaded = load();
-    if let Some(m) = m {
-        m.record_phase("cache", timer.expect("timer started with metrics"), 0);
-    }
-    if let Some(l) = lane {
-        l.end(span.expect("span opened with lane"), "cache", "phase", 0);
-    }
-    if let Some(t) = tel {
-        t.end(LanePhase::Cache, lt.expect("telemetry timer started"));
-    }
-    loaded
-}
-
-/// A pure hit: the stored report, and the metrics of its lookup.
-fn hit(report: WorkloadReport, metrics: Option<WorkloadMetrics>) -> InstrumentedReport {
-    InstrumentedReport {
-        report,
-        metrics,
-        intervals: None,
-        profile: None,
-        loops: None,
-        cache: CacheOutcome::Hit,
     }
 }
 
@@ -558,7 +505,8 @@ mod tests {
         let image = small_image();
         let cfg = AnalysisConfig::default();
         let direct = {
-            let r = run_probed(&image, Vec::new(), &cfg, InterpTier::default(), Probes::none());
+            let r =
+                run_probed(&image, Vec::new(), &cfg, InterpTier::default(), &mut Probes::none());
             format!("{:?}", r.unwrap())
         };
         for threads in [1, 2, 7] {
@@ -871,6 +819,49 @@ mod tests {
         let snap = registry.snapshot();
         assert_eq!(snap.lanes.iter().map(|l| l.jobs_done).sum::<u64>(), 3);
         assert_eq!(registry.counter("session_runs_finished").get(), 3);
+    }
+
+    #[test]
+    fn every_phase_sink_reads_one_record() {
+        // Metrics, a span lane and a fresh registry's telemetry on one
+        // job, cold (a miss that runs) and then warm (a hit).
+        let (dir, cache) = tmp_cache("record");
+        let image = small_image();
+        let cfg = AnalysisConfig { skip: 500, ..AnalysisConfig::default() };
+        let cold = ["cache", "setup", "skip", "measure", "finalize"];
+        for expected in [&cold[..], &["cache"]] {
+            let registry = TelemetryRegistry::new();
+            let mut tracer = SpanTracer::new();
+            let job = AnalysisJob { image: &image, input: Vec::new(), label: "lookup" };
+            let session = Session::new(cfg).metrics(true).cache(&cache);
+            let ir = session.trace(&mut tracer).telemetry(&registry).run(vec![job]);
+            let m = ir.into_iter().next().unwrap().unwrap().metrics.unwrap();
+            let names: Vec<&str> = m.phases.iter().map(|p| p.name).collect();
+            assert_eq!(names, expected);
+            let (workload, spans) = tracer.spans().split_last().unwrap();
+            assert_eq!((workload.name.as_str(), workload.cat), ("lookup", "workload"));
+            assert_eq!(spans.len(), m.phases.len());
+            // Each phase is one record: all three sinks hold one figure.
+            for (p, s) in m.phases.iter().zip(spans) {
+                assert_eq!((s.name.as_str(), s.cat, s.events), (p.name, "phase", p.events));
+                assert_eq!(s.dur_ns, p.wall_ns, "{}: span against metrics", p.name);
+                let counter = registry.counter(&format!("phase_ns_{}", p.name)).get();
+                assert_eq!(counter, p.wall_ns, "{}: telemetry against metrics", p.name);
+            }
+            // One boundary, one instant: a phase starts where the one
+            // before it ended, and the workload span starts with the
+            // first phase. A hit's lookup ends the job at its own end.
+            for w in spans.windows(2) {
+                assert_eq!(w[0].start_ns + w[0].dur_ns, w[1].start_ns);
+            }
+            let last = spans.last().unwrap();
+            assert_eq!(workload.start_ns, spans[0].start_ns);
+            assert!(workload.start_ns + workload.dur_ns >= last.start_ns + last.dur_ns);
+            if expected.len() == 1 {
+                assert_eq!(workload.dur_ns, last.dur_ns);
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! sampler that streams registry snapshots as JSONL while a run
 //! executes.
 //!
-//! Everything here follows the same zero-cost-off discipline as
-//! [`Probes`](crate::Probes): instrumented code holds an
+//! Everything here follows the same zero-cost-off discipline as the
+//! pipeline's other probes: instrumented code holds an
 //! `Option<&TelemetryRegistry>` (or a cloned handle) and does nothing
 //! when none is installed, so table output stays byte-identical with
 //! telemetry on or off at every `--jobs` count. Unlike the pull-based
@@ -30,7 +30,7 @@
 //!   only; [`progress_line`]).
 
 use crate::json::{JsonWriter, Layout};
-use crate::metrics::PhaseTimer;
+use crate::metrics::ns_between;
 use std::io::Write;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
@@ -310,8 +310,8 @@ impl<'a> LiveCount<'a> {
     }
 }
 
-/// The telemetry handle one pipeline worker lane threads into
-/// [`Probes`](crate::Probes): its [`LaneTelemetry`] plus shared
+/// The telemetry handle one pipeline worker lane threads through its
+/// jobs: its [`LaneTelemetry`] plus shared
 /// per-phase wall-time counters (`phase_ns_*`, aggregated across
 /// lanes). Built by [`TelemetryRegistry::pipeline_lane`].
 #[derive(Debug, Clone)]
@@ -328,18 +328,11 @@ impl PipelineTelemetry {
         &self.lane
     }
 
-    /// Marks the lane as entering `phase` and starts its stopwatch.
-    pub fn begin(&self, phase: LanePhase) -> PhaseTimer {
-        self.lane.set_phase(phase);
-        PhaseTimer::start()
-    }
-
-    /// Accumulates the elapsed wall time of `phase` into the shared
-    /// `phase_ns_*` counter ([`LanePhase::Idle`] has none and is
-    /// ignored).
-    pub fn end(&self, phase: LanePhase, timer: PhaseTimer) {
+    /// Adds one finished phase's wall time to the shared `phase_ns_*`
+    /// counter ([`LanePhase::Idle`] has none and is ignored).
+    pub(crate) fn add_phase_ns(&self, phase: LanePhase, ns: u64) {
         if phase != LanePhase::Idle {
-            self.phase_ns[phase as usize - 1].add(timer.elapsed_ns());
+            self.phase_ns[phase as usize - 1].add(ns);
         }
     }
 }
@@ -389,7 +382,7 @@ impl TelemetryRegistry {
 
     /// Nanoseconds since the registry was created.
     pub fn elapsed_ns(&self) -> u64 {
-        u64::try_from(self.start.elapsed().as_nanos()).unwrap_or(u64::MAX)
+        ns_between(self.start, Instant::now())
     }
 
     /// Returns the counter named `name`, creating it at 0 on first use.
@@ -910,19 +903,23 @@ mod tests {
         let registry = TelemetryRegistry::new();
         let tel = registry.pipeline_lane(0);
         assert_eq!(tel.lane().phase(), LanePhase::Idle);
-        let t = tel.begin(LanePhase::Measure);
+        tel.lane().set_phase(LanePhase::Measure);
         assert_eq!(tel.lane().phase(), LanePhase::Measure);
-        tel.end(LanePhase::Measure, t);
+        tel.add_phase_ns(LanePhase::Measure, 1_500);
+        tel.add_phase_ns(LanePhase::Idle, 7);
         tel.lane().set_phase(LanePhase::Idle);
         let snap = registry.snapshot();
-        let measure = snap.counters.iter().find(|(n, _)| n == "phase_ns_measure").map(|(_, v)| *v);
-        assert!(measure.is_some());
+        let counter = |snap: &TelemetrySnapshot, name: &str| {
+            snap.counters.iter().find(|(n, _)| n == name).map(|(_, v)| *v)
+        };
+        assert_eq!(counter(&snap, "phase_ns_measure"), Some(1_500));
         assert_eq!(snap.lanes[0].phase, LanePhase::Idle);
         // Both lanes share the phase counters: interning by name.
         let tel2 = registry.pipeline_lane(1);
-        let t2 = tel2.begin(LanePhase::Cache);
-        tel2.end(LanePhase::Cache, t2);
-        assert_eq!(registry.snapshot().lanes.len(), 2);
+        tel2.add_phase_ns(LanePhase::Measure, 500);
+        let snap = registry.snapshot();
+        assert_eq!(snap.lanes.len(), 2);
+        assert_eq!(counter(&snap, "phase_ns_measure"), Some(2_000));
     }
 
     #[test]

@@ -5,14 +5,18 @@
 //! owns one monotonic epoch, each thread of work records into its own
 //! [`SpanLane`] (lane 0 is the driver's main thread, lanes `1..=N` are
 //! the pipeline's worker threads), and finished lanes are merged back
-//! into the tracer before export. Spans are opened with
-//! [`SpanLane::begin`] and closed LIFO with [`SpanLane::end`], so every
-//! lane's spans are strictly nested by construction.
+//! into the tracer before export. A span is appended whole, from the two
+//! instants its caller read ([`SpanLane::push`]). The pipeline reads the
+//! clock once per phase boundary and hands that one instant to the
+//! phase that ends and to the phase that starts, so abutting spans share
+//! their boundary to the nanosecond, and a job's `workload` span starts
+//! at its first phase's start: every lane's spans are strictly nested by
+//! construction.
 //!
 //! Like `core::metrics`, tracing rides an `Option<&mut …>` through the
 //! pipeline: when no lane is attached nothing is timed, and the
-//! analyses' output is byte-identical either way (spans only sample the
-//! clock at phase boundaries, never per event).
+//! analyses' output is byte-identical either way (the clock is read at
+//! phase boundaries only, never per event).
 //!
 //! The exported document is versioned ([`TRACE_SCHEMA_VERSION`],
 //! `"kind": "trace"`) and documented in `DESIGN.md` §10.
@@ -20,6 +24,7 @@
 use std::time::Instant;
 
 use crate::json::{JsonWriter, Layout};
+use crate::metrics::ns_between;
 
 /// Version of the trace-event JSON document. Bump on any change to
 /// field names, meanings, or structure.
@@ -43,28 +48,23 @@ pub struct Span {
     pub events: u64,
 }
 
-/// Token for a span opened with [`SpanLane::begin`] and not yet closed.
-#[derive(Debug, Clone, Copy)]
-#[must_use = "open spans must be closed with SpanLane::end"]
-pub struct OpenSpan {
-    start_ns: u64,
-    depth: u32,
-}
-
 /// A per-thread span collector. All lanes of one trace share the
 /// tracer's epoch, so their timestamps are directly comparable.
 ///
 /// # Examples
 ///
 /// ```
+/// use std::time::Instant;
 /// use instrep_core::{SpanLane, SpanTracer};
 ///
 /// let mut tracer = SpanTracer::new();
 /// let mut lane = SpanLane::new(0, tracer.epoch());
-/// let outer = lane.begin();
-/// let inner = lane.begin();
-/// lane.end(inner, "inner", "phase", 10);
-/// lane.end(outer, "outer", "workload", 0);
+/// let (t0, t1, t2) = (Instant::now(), Instant::now(), Instant::now());
+/// lane.push("first", "phase", t0, t1, 10);
+/// lane.push("second", "phase", t1, t2, 0);
+/// lane.push("outer", "workload", t0, t2, 0);
+/// let s = lane.spans();
+/// assert_eq!(s[0].start_ns + s[0].dur_ns, s[1].start_ns);
 /// tracer.extend(lane.into_spans());
 /// assert!(tracer.to_json().contains("\"kind\": \"trace\""));
 /// ```
@@ -72,7 +72,6 @@ pub struct OpenSpan {
 pub struct SpanLane {
     lane: u32,
     epoch: Instant,
-    depth: u32,
     spans: Vec<Span>,
 }
 
@@ -80,7 +79,7 @@ impl SpanLane {
     /// Creates a lane with the given id, sharing `epoch` (from
     /// [`SpanTracer::epoch`]) with every other lane of the trace.
     pub fn new(lane: u32, epoch: Instant) -> SpanLane {
-        SpanLane { lane, epoch, depth: 0, spans: Vec::new() }
+        SpanLane { lane, epoch, spans: Vec::new() }
     }
 
     /// This lane's id (the Chrome `tid`).
@@ -88,35 +87,30 @@ impl SpanLane {
         self.lane
     }
 
-    /// Opens a span at the current instant.
-    pub fn begin(&mut self) -> OpenSpan {
-        let open = OpenSpan { start_ns: elapsed_ns(self.epoch), depth: self.depth };
-        self.depth += 1;
-        open
-    }
-
-    /// Closes `open`, recording a completed span. Spans must close in
-    /// LIFO order — that discipline is what makes every lane's spans
-    /// strictly nested.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `open` is not the innermost open span of this lane.
-    pub fn end(&mut self, open: OpenSpan, name: impl Into<String>, cat: &'static str, events: u64) {
-        assert_eq!(self.depth, open.depth + 1, "spans must close in LIFO order");
-        self.depth = open.depth;
-        let now = elapsed_ns(self.epoch).max(open.start_ns);
+    /// Appends a completed span from `start` to `end`, two instants the
+    /// caller read. A caller that reads its instants in order, and
+    /// appends an enclosing span with its first child's start and its
+    /// last child's end or later, keeps the lane strictly nested.
+    pub fn push(
+        &mut self,
+        name: impl Into<String>,
+        cat: &'static str,
+        start: Instant,
+        end: Instant,
+        events: u64,
+    ) {
         self.spans.push(Span {
             name: name.into(),
             cat,
             lane: self.lane,
-            start_ns: open.start_ns,
-            dur_ns: now - open.start_ns,
+            start_ns: ns_between(self.epoch, start),
+            dur_ns: ns_between(start, end),
             events,
         });
     }
 
-    /// Completed spans, in close order (children before parents).
+    /// Completed spans, in the order they were appended (the pipeline
+    /// appends children before parents).
     pub fn spans(&self) -> &[Span] {
         &self.spans
     }
@@ -221,42 +215,32 @@ impl SpanTracer {
     }
 }
 
-/// Nanoseconds since `epoch`, saturating.
-fn elapsed_ns(epoch: Instant) -> u64 {
-    u64::try_from(epoch.elapsed().as_nanos()).unwrap_or(u64::MAX)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     #[test]
-    fn spans_nest_and_close_lifo() {
+    fn spans_from_shared_instants_abut_and_nest_exactly() {
         let tracer = SpanTracer::new();
         let mut lane = SpanLane::new(3, tracer.epoch());
-        let outer = lane.begin();
-        let inner = lane.begin();
-        lane.end(inner, "inner", "phase", 7);
-        lane.end(outer, "outer", "workload", 0);
+        let t0 = Instant::now();
+        let t1 = t0 + Duration::from_nanos(1_234_567);
+        let t2 = t1 + Duration::from_nanos(89);
+        lane.push("first", "phase", t0, t1, 7);
+        lane.push("second", "phase", t1, t2, 0);
+        lane.push("outer", "workload", t0, t2, 0);
         let spans = lane.into_spans();
-        assert_eq!(spans.len(), 2);
-        let (inner, outer) = (&spans[0], &spans[1]);
-        assert_eq!(inner.name, "inner");
-        assert_eq!(outer.name, "outer");
-        assert_eq!(inner.lane, 3);
-        // Strict nesting: the inner span lies within the outer one.
-        assert!(inner.start_ns >= outer.start_ns);
-        assert!(inner.start_ns + inner.dur_ns <= outer.start_ns + outer.dur_ns);
-        assert_eq!(inner.events, 7);
-    }
-
-    #[test]
-    #[should_panic(expected = "LIFO")]
-    fn non_lifo_close_panics() {
-        let tracer = SpanTracer::new();
+        let [first, second, outer] = &spans[..] else { panic!("three spans") };
+        assert_eq!((first.lane, first.dur_ns, first.events), (3, 1_234_567, 7));
+        assert_eq!(second.dur_ns, 89);
+        // The shared instant is one boundary: no gap, no overlap.
+        assert_eq!(first.start_ns + first.dur_ns, second.start_ns);
+        assert_eq!(outer.start_ns, first.start_ns);
+        assert_eq!(outer.start_ns + outer.dur_ns, second.start_ns + second.dur_ns);
+        // An end before its start is an empty span, not a wrap.
         let mut lane = SpanLane::new(0, tracer.epoch());
-        let outer = lane.begin();
-        let _inner = lane.begin();
-        lane.end(outer, "outer", "phase", 0); // inner still open
+        lane.push("backwards", "phase", t1, t0, 0);
+        assert_eq!(lane.spans()[0].dur_ns, 0);
     }
 }

@@ -52,19 +52,22 @@
 //! measured instruction. `--cache-verify` recomputes on every hit and
 //! fails loudly if an entry disagrees with a fresh analysis.
 
-use std::io::IsTerminal;
+use std::io::{self, IsTerminal, Write};
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
+use instrep_core::metrics::{self, ns_between};
 use instrep_core::report::{self, Named};
+use instrep_core::service::scale_windows;
 use instrep_core::{
-    default_parallelism, interval, metrics, profile, steady_state_check, telemetry, AnalysisCache,
+    default_parallelism, interval, profile, steady_state_check, telemetry, AnalysisCache,
     AnalysisConfig, AnalysisJob, CacheOutcome, HeartbeatConfig, HeartbeatSampler,
     InstructionProfile, InterpTier, IntervalWindow, LoopNestProfile, LoopsReport, MetricsReport,
     ProfileReport, Session, SpanLane, SpanTracer, TelemetryRegistry, WorkloadReport,
 };
+use instrep_minicc::BuildError;
 use instrep_workloads::{all, Scale, Workload};
 
 struct Options {
@@ -95,6 +98,8 @@ struct Options {
     heartbeat_ms: Option<u64>,
     telemetry_out: Option<String>,
     progress: bool,
+    /// Text that `--help` or `--list` prints instead of a run.
+    print_only: Option<String>,
 }
 
 impl Options {
@@ -140,12 +145,7 @@ const FLAGS: &[FlagSpec] = &[
         value: Some(("SCALE", "--scale needs a value")),
         help: "measurement scale: tiny, small, or full (default: small)",
         apply: |o, v| {
-            o.scale = match v {
-                "tiny" => Scale::Tiny,
-                "small" => Scale::Small,
-                "full" => Scale::Full,
-                other => return Err(format!("unknown scale `{other}`")),
-            };
+            o.scale = Scale::from_name(v).ok_or_else(|| format!("unknown scale `{v}`"))?;
             Ok(())
         },
     },
@@ -445,12 +445,13 @@ const FLAGS: &[FlagSpec] = &[
         alias: None,
         value: None,
         help: "list the benchmarks and their SPEC analogs",
-        apply: |_, _| {
-            println!("{:<12}{:<16}", "bench", "SPEC analog");
+        apply: |o, _| {
+            let mut text = format!("{:<12}{:<16}\n", "bench", "SPEC analog");
             for wl in all() {
-                println!("{:<12}{:<16}", wl.name, wl.spec_analog);
+                text.push_str(&format!("{:<12}{:<16}\n", wl.name, wl.spec_analog));
             }
-            std::process::exit(0);
+            o.print_only = Some(text);
+            Ok(())
         },
     },
     FlagSpec {
@@ -458,9 +459,9 @@ const FLAGS: &[FlagSpec] = &[
         alias: Some("-h"),
         value: None,
         help: "print this help (also -h)",
-        apply: |_, _| {
-            print_help();
-            std::process::exit(0);
+        apply: |o, _| {
+            o.print_only = Some(help_text());
+            Ok(())
         },
     },
 ];
@@ -485,16 +486,15 @@ const RULES: &[Rule] = &[
     },
 ];
 
-/// Prints the help text generated from [`FLAGS`] — there is no
+/// The help text, generated from [`FLAGS`] — there is no
 /// hand-maintained usage string to drift out of date.
-fn print_help() {
-    println!("usage: instrep-repro [options]\n");
-    println!(
-        "Regenerates the tables and figures of \"An Empirical Analysis of\n\
-         Instruction Repetition\" over the ten SPEC-'95-like workloads.\n\
-         With no table or figure selection, everything is printed.\n"
-    );
-    println!("options:");
+fn help_text() -> String {
+    let mut text = "usage: instrep-repro [options]\n\n\
+        Regenerates the tables and figures of \"An Empirical Analysis of\n\
+        Instruction Repetition\" over the ten SPEC-'95-like workloads.\n\
+        With no table or figure selection, everything is printed.\n\n\
+        options:\n"
+        .to_string();
     let width = FLAGS.iter().map(|f| f.name.len() + f.value.map_or(0, |(m, _)| m.len() + 1)).max();
     let width = width.unwrap_or(0) + 2;
     for f in FLAGS {
@@ -503,8 +503,9 @@ fn print_help() {
             left.push(' ');
             left.push_str(metavar);
         }
-        println!("  {left:<width$}{}", f.help);
+        text.push_str(&format!("  {left:<width$}{}\n", f.help));
     }
+    text
 }
 
 fn parse_args() -> Result<Options, String> {
@@ -536,6 +537,7 @@ fn parse_args() -> Result<Options, String> {
         heartbeat_ms: None,
         telemetry_out: None,
         progress: false,
+        print_only: None,
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -548,6 +550,9 @@ fn parse_args() -> Result<Options, String> {
             None => String::new(),
         };
         (spec.apply)(&mut opts, &value)?;
+        if opts.print_only.is_some() {
+            return Ok(opts);
+        }
     }
     for rule in RULES {
         if (rule.broken)(&opts) {
@@ -557,47 +562,48 @@ fn parse_args() -> Result<Options, String> {
     Ok(opts)
 }
 
-/// Scale label used in metrics documents.
-fn scale_label(scale: Scale) -> &'static str {
-    match scale {
-        Scale::Tiny => "tiny",
-        Scale::Small => "small",
-        Scale::Full => "full",
-    }
-}
-
-/// Analysis windows per scale: (skip, window), mirroring the paper's
-/// skip-initialization-then-measure methodology at simulator-feasible
-/// sizes.
-fn windows(scale: Scale) -> (u64, u64) {
-    match scale {
-        Scale::Tiny => (20_000, 400_000),
-        Scale::Small => (200_000, 4_000_000),
-        Scale::Full => (1_000_000, 25_000_000),
-    }
-}
-
 fn main() -> ExitCode {
+    let mut out = io::stdout().lock();
+    match run(&mut out).and_then(|code| out.flush().map(|()| code)) {
+        Ok(code) => code,
+        // A reader that stops early (`| head`) has what it wanted.
+        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("error: writing to stdout: {e}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+/// The whole program, writing every table, check, listing and help line
+/// to `out`. A failure it reports on stderr returns
+/// [`ExitCode::FAILURE`]; a failed write to `out` ends it with the
+/// error.
+fn run(out: &mut impl Write) -> io::Result<ExitCode> {
     let opts = match parse_args() {
         Ok(o) => o,
         Err(e) => {
             eprintln!("error: {e}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     };
+    if let Some(text) = &opts.print_only {
+        out.write_all(text.as_bytes())?;
+        return Ok(ExitCode::SUCCESS);
+    }
 
-    let (skip, window) = windows(opts.scale);
+    let (skip, window) = scale_windows(opts.scale.name()).expect("every scale has windows");
     let cfg = AnalysisConfig { skip, window, ..AnalysisConfig::default() };
     let workloads: Vec<Workload> =
         all().into_iter().filter(|w| opts.only.as_deref().is_none_or(|o| o == w.name)).collect();
     if workloads.is_empty() {
         eprintln!("error: no benchmark matches --only filter");
-        return ExitCode::FAILURE;
+        return Ok(ExitCode::FAILURE);
     }
     if let Some(name) = &opts.annotate {
         if !workloads.iter().any(|w| w.name == name) {
             eprintln!("error: --annotate {name} is excluded by the --only filter");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     }
     // Telemetry is strictly opt-in: no registry, no atomics anywhere on
@@ -612,7 +618,7 @@ fn main() -> ExitCode {
             Err(e) => {
                 let dir = opts.cache_dir.as_deref().unwrap_or_default();
                 eprintln!("error: opening cache at {dir}: {e}");
-                return ExitCode::FAILURE;
+                return Ok(ExitCode::FAILURE);
             }
         };
     if let (Some(c), Some(r)) = (cache.as_mut(), registry.as_deref()) {
@@ -631,7 +637,7 @@ fn main() -> ExitCode {
                 Ok(s) => heartbeat = Some(s),
                 Err(e) => {
                     eprintln!("error: starting heartbeat stream: {e}");
-                    return ExitCode::FAILURE;
+                    return Ok(ExitCode::FAILURE);
                 }
             }
         }
@@ -649,40 +655,35 @@ fn main() -> ExitCode {
     let mut tracer = opts.trace_out.as_ref().map(|_| SpanTracer::new());
     let mut main_lane = tracer.as_ref().map(|t| SpanLane::new(0, t.epoch()));
 
-    let start = std::time::Instant::now();
+    // Each stage boundary is one clock read, shared by the stage it
+    // ends and the one it starts: the `build` metric and the
+    // `compile:`/`assemble:` spans come from the same instants.
+    let start = Instant::now();
+    let mut built_at = start;
     let mut images = Vec::with_capacity(workloads.len());
     let mut build_ns = Vec::with_capacity(workloads.len());
     for wl in &workloads {
-        let t = std::time::Instant::now();
-        let built = match main_lane.as_mut() {
-            None => wl.build(),
-            // Traced builds run the same two stages `Workload::build`
-            // fuses, each under its own span.
-            Some(lane) => {
-                let sp = lane.begin();
-                let asm = instrep_minicc::compile_to_asm(&wl.full_source());
-                lane.end(sp, format!("compile: {}", wl.name), "build", 0);
-                asm.and_then(|text| {
-                    let sp = lane.begin();
-                    let image = instrep_asm::assemble(&text);
-                    lane.end(sp, format!("assemble: {}", wl.name), "build", 0);
-                    image.map_err(instrep_minicc::BuildError::from)
-                })
-            }
-        };
-        match built {
-            Ok(i) => {
-                build_ns.push(u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX));
-                images.push(i);
-            }
+        let compiling = built_at;
+        let asm = instrep_minicc::compile_to_asm(&wl.full_source());
+        let assembling = Instant::now();
+        let built = asm.and_then(|text| instrep_asm::assemble(&text).map_err(BuildError::from));
+        built_at = Instant::now();
+        let image = match built {
+            Ok(image) => image,
             Err(e) => {
                 eprintln!("error: building {} failed: {e}", wl.name);
-                return ExitCode::FAILURE;
+                return Ok(ExitCode::FAILURE);
             }
+        };
+        if let Some(lane) = main_lane.as_mut() {
+            lane.push(format!("compile: {}", wl.name), "build", compiling, assembling, 0);
+            lane.push(format!("assemble: {}", wl.name), "build", assembling, built_at, 0);
         }
+        build_ns.push(ns_between(compiling, built_at));
+        images.push(image);
     }
 
-    let jobs_start = std::time::Instant::now();
+    let jobs_start = built_at;
     let jobs: Vec<AnalysisJob<'_>> = workloads
         .iter()
         .zip(&images)
@@ -695,7 +696,6 @@ fn main() -> ExitCode {
     // One Session runs the whole fan-out; the probes are pull-based and
     // the cache memoizes without perturbing, so every flag combination
     // prints identical tables.
-    let span = main_lane.as_mut().map(|l| l.begin());
     let mut session =
         Session::new(cfg).jobs(threads).interp(opts.interp).metrics(opts.metrics_out.is_some());
     if let Some(n) = opts.interval {
@@ -728,7 +728,7 @@ fn main() -> ExitCode {
             Ok(ir) => ir,
             Err(e) => {
                 eprintln!("error: analyzing {} trapped: {e}", wl.name);
-                return ExitCode::FAILURE;
+                return Ok(ExitCode::FAILURE);
             }
         };
         if ir.cache == CacheOutcome::VerifyMismatch {
@@ -736,7 +736,7 @@ fn main() -> ExitCode {
                 "error: cache verify failed for {} (entry does not match a fresh analysis)",
                 wl.name
             );
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
         let cache_note = match ir.cache {
             CacheOutcome::Hit => " (cached)",
@@ -766,15 +766,21 @@ fn main() -> ExitCode {
             workload_metrics.push((wl.name.to_string(), m));
         }
     }
+    // The `analyze` span and the metrics' total wall time are one
+    // interval: from building the jobs to the end of the fan-out.
+    let analyzed = Instant::now();
     if let Some(l) = main_lane.as_mut() {
-        l.end(span.expect("span opened with lane"), "analyze", "phase", analyzed_events);
+        l.push("analyze", "phase", jobs_start, analyzed, analyzed_events);
     }
-    let wall_ns_total = u64::try_from(jobs_start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-    eprintln!("  analysis took {} ms on {threads} thread(s)", start.elapsed().as_millis());
+    let wall_ns_total = ns_between(jobs_start, analyzed);
+    eprintln!(
+        "  analysis took {} ms on {threads} thread(s)",
+        analyzed.duration_since(start).as_millis()
+    );
 
     if let Some(path) = &opts.metrics_out {
         let doc = MetricsReport {
-            scale: scale_label(opts.scale).to_string(),
+            scale: opts.scale.name().to_string(),
             seed: opts.seed,
             jobs: threads,
             workloads: workload_metrics,
@@ -783,12 +789,12 @@ fn main() -> ExitCode {
         };
         if let Err(e) = std::fs::write(path, doc.to_json()) {
             eprintln!("error: writing metrics to {path}: {e}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
         eprintln!("wrote metrics to {path}");
     }
     let named: Vec<Named<'_>> = reports.iter().map(|(n, r)| (n.as_str(), r)).collect();
-    let render_span = main_lane.as_mut().map(|l| l.begin());
+    let rendering = Instant::now();
 
     let everything =
         opts.tables.is_empty() && opts.figures.is_empty() && !opts.steady && !opts.input_check;
@@ -796,50 +802,50 @@ fn main() -> ExitCode {
     let want_f = |n: u32| everything || opts.figures.contains(&n);
 
     if want_t(1) {
-        println!("{}", report::table1(&named));
+        writeln!(out, "{}", report::table1(&named))?;
     }
     if want_f(1) {
-        println!("{}", report::figure1(&named));
+        writeln!(out, "{}", report::figure1(&named))?;
     }
     if want_t(2) {
-        println!("{}", report::table2(&named));
+        writeln!(out, "{}", report::table2(&named))?;
     }
     if want_f(3) {
-        println!("{}", report::figure3(&named));
+        writeln!(out, "{}", report::figure3(&named))?;
     }
     if want_f(4) {
-        println!("{}", report::figure4(&named));
+        writeln!(out, "{}", report::figure4(&named))?;
     }
     if want_t(3) {
-        println!("{}", report::table3(&named));
+        writeln!(out, "{}", report::table3(&named))?;
     }
     if want_t(4) {
-        println!("{}", report::table4(&named));
+        writeln!(out, "{}", report::table4(&named))?;
     }
     if want_t(5) || want_t(6) || want_t(7) {
-        println!("{}", report::tables5_6_7(&named));
+        writeln!(out, "{}", report::tables5_6_7(&named))?;
     }
     if want_t(8) {
-        println!("{}", report::table8(&named));
+        writeln!(out, "{}", report::table8(&named))?;
     }
     if want_f(5) {
-        println!("{}", report::figure5(&named));
+        writeln!(out, "{}", report::figure5(&named))?;
     }
     if want_t(9) {
-        println!("{}", report::table9(&named));
+        writeln!(out, "{}", report::table9(&named))?;
     }
     if want_f(6) {
-        println!("{}", report::figure6(&named));
+        writeln!(out, "{}", report::figure6(&named))?;
     }
     if want_t(10) {
-        println!("{}", report::table10(&named));
+        writeln!(out, "{}", report::table10(&named))?;
     }
     if everything {
-        println!("{}", report::ext_classes(&named));
-        println!("{}", report::ext_predict(&named));
+        writeln!(out, "{}", report::ext_classes(&named))?;
+        writeln!(out, "{}", report::ext_predict(&named))?;
     }
     if let Some(l) = main_lane.as_mut() {
-        l.end(render_span.expect("span opened with lane"), "render", "report", 0);
+        l.push("render", "report", rendering, Instant::now(), 0);
     }
     if let Some(prefix) = &opts.csv {
         use instrep_core::export;
@@ -849,7 +855,7 @@ fn main() -> ExitCode {
             .and_then(|()| std::fs::write(&breakdowns, export::csv_breakdowns(&named)))
         {
             eprintln!("error: writing CSV files: {e}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
         eprintln!("wrote {summary} and {breakdowns}");
     }
@@ -858,8 +864,11 @@ fn main() -> ExitCode {
         // The paper's input-sensitivity check (§3): a second input set
         // must show the same trends. It goes through the same cache, so
         // warm full runs skip this simulation pass too.
-        println!("Input-sensitivity check (paper §3): repetition rate with a second input set");
-        println!("{:<12}{:>14}{:>14}{:>10}", "bench", "seed A", "seed B", "delta");
+        writeln!(
+            out,
+            "Input-sensitivity check (paper §3): repetition rate with a second input set"
+        )?;
+        writeln!(out, "{:<12}{:>14}{:>14}{:>10}", "bench", "seed A", "seed B", "delta")?;
         for ((wl, image), (_, r)) in workloads.iter().zip(&images).zip(&reports) {
             let alt = wl.input(opts.scale, opts.seed.wrapping_add(7919));
             let mut session = Session::new(cfg).interp(opts.interp);
@@ -876,26 +885,26 @@ fn main() -> ExitCode {
                          (entry does not match a fresh analysis)",
                         wl.name
                     );
-                    return ExitCode::FAILURE;
+                    return Ok(ExitCode::FAILURE);
                 }
                 Ok(ir) => {
                     let a = r.repetition_rate() * 100.0;
                     let b = ir.report.repetition_rate() * 100.0;
-                    println!("{:<12}{a:>13.1}%{b:>13.1}%{:>9.1}%", wl.name, (a - b).abs());
+                    writeln!(out, "{:<12}{a:>13.1}%{b:>13.1}%{:>9.1}%", wl.name, (a - b).abs())?;
                 }
-                Err(e) => println!("{:<12} trapped: {e}", wl.name),
+                Err(e) => writeln!(out, "{:<12} trapped: {e}", wl.name)?,
             }
         }
-        println!();
+        writeln!(out)?;
     }
 
     if opts.steady || everything {
-        println!("Steady-state check (paper §3): max local-category share deviation, window vs 3x window");
+        writeln!(out, "Steady-state check (paper §3): max local-category share deviation, window vs 3x window")?;
         for (wl, image) in workloads.iter().zip(&images) {
             let input = wl.input(opts.scale, opts.seed);
             match steady_state_check(image, input, &cfg, 3) {
-                Ok(dev) => println!("    {:<10} {:>6.2}%", wl.name, dev * 100.0),
-                Err(e) => println!("    {:<10} trapped: {e}", wl.name),
+                Ok(dev) => writeln!(out, "    {:<10} {:>6.2}%", wl.name, dev * 100.0)?,
+                Err(e) => writeln!(out, "    {:<10} trapped: {e}", wl.name)?,
             }
         }
     }
@@ -908,7 +917,7 @@ fn main() -> ExitCode {
             .map(|(_, p)| p)
             .expect("profile collected for every workload");
         let lp = loop_profiles.iter().find(|(n, _)| n == name).map(|(_, p)| p);
-        println!("{}", profile::annotate(name, &wl.full_source(), p, lp));
+        writeln!(out, "{}", profile::annotate(name, &wl.full_source(), p, lp))?;
     }
 
     if let (Some(path), Some(mut t)) = (opts.trace_out.as_ref(), tracer) {
@@ -921,22 +930,21 @@ fn main() -> ExitCode {
         }
         if let Err(e) = std::fs::write(path, t.to_json()) {
             eprintln!("error: writing trace to {path}: {e}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
         eprintln!("wrote trace to {path} (open in https://ui.perfetto.dev)");
     }
     if let (Some(path), Some(n)) = (opts.interval_out.as_ref(), opts.interval) {
-        let doc =
-            interval::to_jsonl(scale_label(opts.scale), opts.seed, threads, n, &interval_series);
+        let doc = interval::to_jsonl(opts.scale.name(), opts.seed, threads, n, &interval_series);
         if let Err(e) = std::fs::write(path, doc) {
             eprintln!("error: writing interval series to {path}: {e}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
         eprintln!("wrote interval series to {path}");
     }
     if opts.profile_out.is_some() || opts.profile_folded.is_some() {
         let doc = ProfileReport {
-            scale: scale_label(opts.scale).to_string(),
+            scale: opts.scale.name().to_string(),
             seed: opts.seed,
             top: opts.top,
             workloads: std::mem::take(&mut profiles),
@@ -944,21 +952,21 @@ fn main() -> ExitCode {
         if let Some(path) = &opts.profile_out {
             if let Err(e) = std::fs::write(path, doc.to_json()) {
                 eprintln!("error: writing profile to {path}: {e}");
-                return ExitCode::FAILURE;
+                return Ok(ExitCode::FAILURE);
             }
             eprintln!("wrote profile to {path}");
         }
         if let Some(path) = &opts.profile_folded {
             if let Err(e) = std::fs::write(path, doc.to_folded()) {
                 eprintln!("error: writing folded stacks to {path}: {e}");
-                return ExitCode::FAILURE;
+                return Ok(ExitCode::FAILURE);
             }
             eprintln!("wrote folded stacks to {path} (render with a flamegraph tool)");
         }
     }
     if opts.loops_out.is_some() || opts.loops_folded.is_some() {
         let doc = LoopsReport {
-            scale: scale_label(opts.scale).to_string(),
+            scale: opts.scale.name().to_string(),
             seed: opts.seed,
             top: opts.top,
             workloads: std::mem::take(&mut loop_profiles),
@@ -966,14 +974,14 @@ fn main() -> ExitCode {
         if let Some(path) = &opts.loops_out {
             if let Err(e) = std::fs::write(path, doc.to_json()) {
                 eprintln!("error: writing loop profile to {path}: {e}");
-                return ExitCode::FAILURE;
+                return Ok(ExitCode::FAILURE);
             }
             eprintln!("wrote loop profile to {path}");
         }
         if let Some(path) = &opts.loops_folded {
             if let Err(e) = std::fs::write(path, doc.to_folded()) {
                 eprintln!("error: writing loop stacks to {path}: {e}");
-                return ExitCode::FAILURE;
+                return Ok(ExitCode::FAILURE);
             }
             eprintln!("wrote loop stacks to {path} (render with a flamegraph tool)");
         }
@@ -984,7 +992,7 @@ fn main() -> ExitCode {
     if let Some(hb) = heartbeat {
         if let Err(e) = hb.stop() {
             eprintln!("error: writing heartbeats: {e}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
         if let Some(path) = &opts.heartbeat_out {
             eprintln!("wrote heartbeats to {path}");
@@ -994,10 +1002,10 @@ fn main() -> ExitCode {
         let doc = telemetry::render_prometheus(&r.snapshot());
         if let Err(e) = std::fs::write(path, doc) {
             eprintln!("error: writing telemetry exposition to {path}: {e}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
         eprintln!("wrote telemetry exposition to {path}");
     }
 
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }

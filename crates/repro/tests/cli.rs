@@ -512,6 +512,29 @@ fn loops_flags_reject_missing_arguments() {
     }
 }
 
+/// A reader that closes stdout early (`| head -1`) ends the run
+/// cleanly: exit 0 and no panic, whether the tables, the listing or the
+/// help text meet the closed pipe.
+#[test]
+fn closed_stdout_exits_cleanly() {
+    use std::process::Stdio;
+    for args in [&["--scale", "tiny", "--only", "compress"] as &[&str], &["--list"], &["--help"]] {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_instrep-repro"))
+            .args(args)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawn instrep-repro");
+        // Close the read end before the analysis finishes and the
+        // tables print.
+        drop(child.stdout.take());
+        let out = child.wait_with_output().expect("wait for instrep-repro");
+        let err = stderr_of(&out);
+        assert_eq!(out.status.code(), Some(0), "{args:?} stderr: {err}");
+        assert!(!err.contains("panicked"), "{args:?} stderr: {err}");
+    }
+}
+
 #[test]
 fn list_includes_the_loop_diversity_families() {
     let out = run(&["--list"]);
@@ -680,9 +703,17 @@ fn loop_outputs_are_deterministic_and_leave_stdout_identical() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Every pair of spans on one lane must nest or be disjoint — the
-/// guarantee the LIFO close discipline makes.
-fn assert_strictly_nested(tid: f64, spans: &[(f64, f64)]) {
+/// A trace timestamp or duration in whole nanoseconds. The document
+/// writes microseconds with three decimals, and a value of that form
+/// below 2^53 / 1000 converts back to the same integer exactly.
+fn trace_ns(v: &Json) -> u64 {
+    (v.num().expect("numeric trace field") * 1000.0).round() as u64
+}
+
+/// Every pair of spans on one lane must nest or be disjoint, compared in
+/// exact nanoseconds: abutting spans share their boundary instant, and
+/// `ts + dur` summed as `f64` could overlap them by one ulp.
+fn assert_strictly_nested(tid: u64, spans: &[(u64, u64)]) {
     for (i, a) in spans.iter().enumerate() {
         for b in &spans[i + 1..] {
             let disjoint = a.1 <= b.0 || b.1 <= a.0;
@@ -772,14 +803,14 @@ fn trace_out_writes_schema_v1_chrome_trace() {
     for tid in tids {
         let lane: Vec<&&Json> =
             spans.iter().filter(|s| s.get("tid").and_then(Json::num) == Some(tid as f64)).collect();
-        let intervals: Vec<(f64, f64)> = lane
+        let intervals: Vec<(u64, u64)> = lane
             .iter()
             .map(|s| {
-                let ts = s.get("ts").and_then(Json::num).unwrap();
-                (ts, ts + s.get("dur").and_then(Json::num).unwrap())
+                let ts = trace_ns(s.get("ts").unwrap());
+                (ts, ts + trace_ns(s.get("dur").unwrap()))
             })
             .collect();
-        assert_strictly_nested(tid as f64, &intervals);
+        assert_strictly_nested(tid, &intervals);
         let phase_ts: Vec<f64> = lane
             .iter()
             .filter(|s| s.get("cat").and_then(Json::str) == Some("phase"))

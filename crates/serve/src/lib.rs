@@ -61,6 +61,7 @@ use std::time::{Duration, Instant};
 
 use instrep_asm::Image;
 use instrep_core::json::Json;
+use instrep_core::metrics::ns_between;
 use instrep_core::service::{
     loops_json, metrics_json, profile_json, report_json, scale_windows, ErrorKind, ReportPayload,
     Request, RequestError, RequestSource, Response, ServiceError,
@@ -598,16 +599,12 @@ fn admit(req: &Request, ctx: &Ctx) -> Admission {
     match Session::new(cfg).cache(cache).lookup(&key) {
         Some(ir) => {
             let response = report_response(req, &cfg, ir);
-            ctx.tel.request_ns.record(elapsed_ns(started));
+            ctx.tel.request_ns.record(ns_between(started, Instant::now()));
             ctx.tel.responses_ok.inc();
             Admission::Answered(response)
         }
         None => Admission::Missed(Missed { built, input, cfg, key }),
     }
-}
-
-fn elapsed_ns(since: Instant) -> u64 {
-    u64::try_from(since.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
 /// Worker: pull, deadline-check, analyze, reply — until the queue
@@ -650,7 +647,7 @@ fn worker_loop(worker: usize, rx: &Mutex<Receiver<WorkItem>>, ctx: &Ctx) {
             }
             None => process(&item.req, ctx),
         };
-        ctx.tel.request_ns.record(elapsed_ns(started));
+        ctx.tel.request_ns.record(ns_between(started, Instant::now()));
         lane.job_done();
         lane.set_label("");
         if item.reply.send(response).is_err() {
@@ -667,12 +664,9 @@ fn error(id: u64, kind: ErrorKind, message: String) -> Response {
 
 /// The workload scale a request names.
 fn request_scale(req: &Request) -> Result<Scale, Response> {
-    match req.scale.as_str() {
-        "tiny" => Ok(Scale::Tiny),
-        "small" => Ok(Scale::Small),
-        "full" => Ok(Scale::Full),
-        other => Err(error(req.id, ErrorKind::BadRequest, format!("unknown scale `{other}`"))),
-    }
+    Scale::from_name(&req.scale).ok_or_else(|| {
+        error(req.id, ErrorKind::BadRequest, format!("unknown scale `{}`", req.scale))
+    })
 }
 
 /// The analysis config a request asks for: its scale's windows, with

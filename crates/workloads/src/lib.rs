@@ -80,6 +80,32 @@ pub enum Scale {
 impl Scale {
     /// All scales, smallest first.
     pub const ALL: [Scale; 3] = [Scale::Tiny, Scale::Small, Scale::Full];
+
+    /// The scale's name on the command line, in the daemon's requests
+    /// and in every export: `"tiny"`, `"small"` or `"full"`.
+    pub fn name(self) -> &'static str {
+        match self {
+            Scale::Tiny => "tiny",
+            Scale::Small => "small",
+            Scale::Full => "full",
+        }
+    }
+
+    /// The scale [`Scale::name`] calls `name`, if any.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use instrep_workloads::Scale;
+    ///
+    /// for scale in Scale::ALL {
+    ///     assert_eq!(Scale::from_name(scale.name()), Some(scale));
+    /// }
+    /// assert_eq!(Scale::from_name("huge"), None);
+    /// ```
+    pub fn from_name(name: &str) -> Option<Scale> {
+        Scale::ALL.into_iter().find(|s| s.name() == name)
+    }
 }
 
 /// A buildable, runnable workload.

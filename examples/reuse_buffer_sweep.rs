@@ -13,11 +13,28 @@
 //! cargo run --release --example reuse_buffer_sweep [workload]
 //! ```
 
+use std::error::Error;
+use std::io::{self, Write};
+
 use instrep::core::{RepetitionTracker, ReuseBuffer, ReuseConfig, TrackerConfig};
 use instrep::sim::{Machine, Trace};
 use instrep::workloads::{by_name, Scale};
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
+fn main() -> Result<(), Box<dyn Error>> {
+    match sweep(&mut io::stdout().lock()) {
+        // A reader that stops early (`| head`) has what it wanted.
+        Err(e)
+            if e.downcast_ref::<io::Error>()
+                .is_some_and(|e| e.kind() == io::ErrorKind::BrokenPipe) =>
+        {
+            Ok(())
+        }
+        done => done,
+    }
+}
+
+/// Prints the tracker-cap ablation and the reuse-buffer sweep to `out`.
+fn sweep(out: &mut impl Write) -> Result<(), Box<dyn Error>> {
     let name = std::env::args().nth(1).unwrap_or_else(|| "compress".to_string());
     let wl = by_name(&name).ok_or_else(|| format!("unknown workload `{name}`"))?;
     let image = wl.build()?;
@@ -30,30 +47,32 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let trace = Trace::record(&mut machine, 5_000_000)?;
     let mut tracker = RepetitionTracker::new(TrackerConfig::default(), image.text.len());
     let repeated_flags: Vec<bool> = trace.events().iter().map(|ev| tracker.observe(ev)).collect();
-    println!(
+    writeln!(
+        out,
         "workload {}: {} instructions, {:.1}% repeated\n",
         wl.name,
         tracker.dynamic_total(),
         tracker.repetition_rate() * 100.0
-    );
+    )?;
 
-    println!("{:<10}{:>18}", "cap", "% insts repeated");
-    println!("{}", "-".repeat(28));
+    writeln!(out, "{:<10}{:>18}", "cap", "% insts repeated")?;
+    writeln!(out, "{}", "-".repeat(28))?;
     for cap in [1usize, 16, 256, 2000] {
         let mut t = RepetitionTracker::new(TrackerConfig { max_instances: cap }, image.text.len());
         for ev in trace.events() {
             t.observe(ev);
         }
         let marker = if cap == TrackerConfig::default().max_instances { "   <- paper" } else { "" };
-        println!("{cap:<10}{:>17.1}%{marker}", t.repetition_rate() * 100.0);
+        writeln!(out, "{cap:<10}{:>17.1}%{marker}", t.repetition_rate() * 100.0)?;
     }
-    println!();
+    writeln!(out)?;
 
-    println!(
+    writeln!(
+        out,
         "{:<10}{:>8}{:>16}{:>22}",
         "entries", "ways", "% insts reused", "% repetition captured"
-    );
-    println!("{}", "-".repeat(56));
+    )?;
+    writeln!(out, "{}", "-".repeat(56))?;
     for entries in [256usize, 1024, 4096, 8192, 32768] {
         for ways in [1usize, 4] {
             let mut buf = ReuseBuffer::new(ReuseConfig { entries, ways });
@@ -62,15 +81,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             }
             let s = buf.stats();
             let marker = if entries == 8192 && ways == 4 { "   <- paper Table 10" } else { "" };
-            println!(
+            writeln!(
+                out,
                 "{:<10}{:>8}{:>15.1}%{:>21.1}%{}",
                 entries,
                 ways,
                 s.hit_rate() * 100.0,
                 s.repeated_capture_rate() * 100.0,
                 marker
-            );
+            )?;
         }
     }
-    Ok(())
+    Ok(out.flush()?)
 }

@@ -32,9 +32,37 @@ python3 benchmark/test_run.py
 # Each export's schema is checked by the instrep-repro CLI tests, which
 # parse the document; the smoke runs below check that every output
 # leaves table stdout byte-identical.
-echo "==> metrics smoke run (--metrics-out)"
 SMOKE_DIR="$(mktemp -d)"
 trap 'rm -rf "$SMOKE_DIR"' EXIT
+
+# results/ is the published record: a fresh release run at small scale
+# must reproduce its stdout and both CSVs byte for byte. Regenerate with
+#   target/release/instrep-repro --scale small --csv results/small \
+#       >results/repro_small.txt
+echo "==> results/ match the program (--scale small, release)"
+target/release/instrep-repro --scale small --csv "$SMOKE_DIR/small" \
+    >"$SMOKE_DIR/repro_small.txt" 2>/dev/null
+for f in repro_small.txt small_summary.csv small_breakdowns.csv; do
+    cmp "results/$f" "$SMOKE_DIR/$f" || {
+        echo "results/$f differs from a fresh --scale small run" >&2
+        exit 1
+    }
+done
+
+# A reader that closes stdout early must not crash instrep-repro: the
+# pipeline passes under pipefail only if it exits 0.
+echo "==> closed-stdout smoke (| head -1)"
+target/release/instrep-repro --scale tiny --only compress 2>"$SMOKE_DIR/pipe.err" |
+    head -1 >/dev/null || {
+    echo "instrep-repro failed when its stdout closed early" >&2
+    exit 1
+}
+grep -q panicked "$SMOKE_DIR/pipe.err" && {
+    echo "instrep-repro panicked when its stdout closed early" >&2
+    exit 1
+}
+
+echo "==> metrics smoke run (--metrics-out)"
 target/debug/instrep-repro --scale tiny --only compress --table 1 \
     --jobs 2 --metrics-out "$SMOKE_DIR/metrics.json" >/dev/null
 

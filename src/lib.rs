@@ -61,6 +61,6 @@ pub use instrep_sim as sim;
 pub use instrep_workloads as workloads;
 
 pub use instrep_core::{
-    AnalysisCache, AnalysisConfig, AnalysisJob, CacheKey, CacheOutcome, InstrumentedReport, Probes,
+    AnalysisCache, AnalysisConfig, AnalysisJob, CacheKey, CacheOutcome, InstrumentedReport,
     Session, WorkloadReport, CACHE_SCHEMA_VERSION,
 };

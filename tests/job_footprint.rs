@@ -115,16 +115,16 @@ fn trivial_job_allocates_under_a_mebibyte() {
 /// from run to run and is the same in debug and release builds. A change
 /// that lowers a count lowers its pin with it.
 const TINY_JOB_PINS: [(&str, u64, u64); 10] = [
-    ("go", 5_907, 3_102_304),
-    ("m88ksim", 17_726, 1_657_050),
-    ("ijpeg", 4_925, 4_464_696),
-    ("perl", 6_726, 4_251_837),
-    ("vortex", 20_628, 6_426_645),
-    ("li", 20_632, 2_272_924),
-    ("gcc", 11_385, 6_027_269),
-    ("compress", 10_688, 9_635_998),
-    ("interp", 7_419, 1_950_946),
-    ("stencil", 714, 4_542_224),
+    ("go", 2_580, 3_007_392),
+    ("m88ksim", 1_174, 1_369_130),
+    ("ijpeg", 1_982, 4_415_784),
+    ("perl", 2_287, 4_166_157),
+    ("vortex", 4_666, 6_165_749),
+    ("li", 2_175, 1_772_476),
+    ("gcc", 3_781, 5_849_461),
+    ("compress", 4_540, 9_537_422),
+    ("interp", 330, 1_781_298),
+    ("stencil", 568, 4_539_808),
 ];
 
 #[test]
