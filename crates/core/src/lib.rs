@@ -117,8 +117,7 @@ pub use loops::{
 };
 pub use metrics::{MetricsReport, PhaseMetrics, WorkloadMetrics, METRICS_SCHEMA_VERSION};
 pub use pipeline::{
-    default_parallelism, steady_state_check, AnalysisConfig, AnalysisJob, InstrumentedReport,
-    WorkloadReport,
+    default_parallelism, AnalysisConfig, AnalysisJob, InstrumentedReport, WorkloadReport,
 };
 pub use predict::{PredictStats, StrideStats, ValuePredictors};
 pub use profile::{

@@ -280,9 +280,9 @@ impl Probes<'_> {
 }
 
 /// One simulation pass with any combination of [`Probes`] attached —
-/// the entry everything else (the `Session` builder,
-/// `steady_state_check`) runs on. Its phases continue the job's phase
-/// sequence: the first boundary ends a cache lookup still under way.
+/// the engine the `Session` builder runs every job on. Its phases
+/// continue the job's phase sequence: the first boundary ends a cache
+/// lookup still under way.
 ///
 /// The phase sinks read the clock at phase boundaries only; the
 /// interval sampler, the loop profiler and the telemetry tick are
@@ -575,32 +575,6 @@ where
         .collect()
 }
 
-/// The paper's §3 steady-state verification: runs the overall local
-/// analysis at two window sizes and returns the largest absolute
-/// difference in category shares. Small values indicate the short window
-/// measures a steady-state region.
-///
-/// # Errors
-///
-/// Propagates simulator traps.
-pub fn steady_state_check(
-    image: &Image,
-    input: Vec<u8>,
-    cfg: &AnalysisConfig,
-    factor: u64,
-) -> Result<f64, SimError> {
-    let short = run_probed(image, input.clone(), cfg, InterpTier::default(), &mut Probes::none())?;
-    let mut long_cfg = *cfg;
-    long_cfg.window = cfg.window.saturating_mul(factor);
-    let long = run_probed(image, input, &long_cfg, InterpTier::default(), &mut Probes::none())?;
-    let mut max_dev: f64 = 0.0;
-    for cat in crate::local::LocalCat::ALL {
-        let dev = (short.local.overall_share(cat) - long.local.overall_share(cat)).abs();
-        max_dev = max_dev.max(dev);
-    }
-    Ok(max_dev)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -673,14 +647,6 @@ mod tests {
         let report = quick(&image, &cfg);
         assert_eq!(report.outcome, RunOutcome::MaxedOut);
         assert_eq!(report.dynamic_total, 2000);
-    }
-
-    #[test]
-    fn steady_state_is_stable_for_uniform_loop() {
-        let image = small_image();
-        let cfg = AnalysisConfig { skip: 2000, window: 4000, ..AnalysisConfig::default() };
-        let dev = steady_state_check(&image, Vec::new(), &cfg, 4).unwrap();
-        assert!(dev < 0.15, "deviation {dev}");
     }
 
     #[test]

@@ -12,7 +12,10 @@
 //! (default: available parallelism); output is identical for every jobs
 //! count because reports merge in fixed workload order. The whole
 //! analysis fan-out is one [`Session`] — the observability flags below
-//! just toggle its probes.
+//! just toggle its probes. Each of the paper's §3 checks is one more
+//! batch on the same threads: the input-sensitivity check reruns every
+//! workload on a second input, and the steady-state check reruns it over
+//! a window three times as long and compares it with the fan-out's.
 //!
 //! `--metrics-out PATH` additionally writes a versioned JSON metrics
 //! document (phase timings, throughput, occupancy gauges, peak RSS — see
@@ -47,10 +50,12 @@
 //! like the profiler: the tables stay byte-identical.
 //!
 //! `--cache-dir PATH` memoizes whole-workload results in a
-//! content-addressed on-disk cache (see `DESIGN.md` §12): a warm run
-//! reproduces the same tables byte-for-byte without executing a single
-//! measured instruction. `--cache-verify` recomputes on every hit and
-//! fails loudly if an entry disagrees with a fresh analysis.
+//! content-addressed on-disk cache (see `DESIGN.md` §12). Every batch
+//! goes through it: a default run stores three entries per workload
+//! (the fan-out's, the second input's and the long window's), and a warm
+//! rerun prints the same bytes without executing a single instruction.
+//! `--cache-verify` recomputes on every hit and fails loudly if an entry
+//! disagrees with a fresh analysis.
 
 use std::io::{self, IsTerminal, Write};
 use std::path::PathBuf;
@@ -62,9 +67,9 @@ use instrep_core::metrics::{self, ns_between};
 use instrep_core::report::{self, Named};
 use instrep_core::service::scale_windows;
 use instrep_core::{
-    default_parallelism, interval, profile, steady_state_check, telemetry, AnalysisCache,
-    AnalysisConfig, AnalysisJob, CacheOutcome, HeartbeatConfig, HeartbeatSampler,
-    InstructionProfile, InterpTier, IntervalWindow, LoopNestProfile, LoopsReport, MetricsReport,
+    default_parallelism, interval, profile, telemetry, AnalysisCache, AnalysisConfig, AnalysisJob,
+    CacheOutcome, HeartbeatConfig, HeartbeatSampler, InstructionProfile, InstrumentedReport,
+    InterpTier, IntervalWindow, LocalCat, LoopNestProfile, LoopsReport, MetricsReport,
     ProfileReport, Session, SpanLane, SpanTracer, TelemetryRegistry, WorkloadReport,
 };
 use instrep_minicc::BuildError;
@@ -562,34 +567,78 @@ fn parse_args() -> Result<Options, String> {
     Ok(opts)
 }
 
+/// Why [`run`] stopped before its end.
+enum Stop {
+    /// A failure, reported on stderr as `error: MESSAGE`.
+    Failed(String),
+    /// A write to stdout failed.
+    Stdout(io::Error),
+}
+
+impl From<io::Error> for Stop {
+    fn from(e: io::Error) -> Stop {
+        Stop::Stdout(e)
+    }
+}
+
+/// Writes `contents` to the file at `path`, or fails the run.
+fn write_file(path: &str, contents: impl AsRef<[u8]>, what: &str) -> Result<(), Stop> {
+    std::fs::write(path, contents)
+        .map_err(|e| Stop::Failed(format!("writing {what} to {path}: {e}")))
+}
+
+/// Runs `jobs` on `session` and returns their results in job order, each
+/// trap as its message. A cache entry that `--cache-verify` found wrong
+/// fails the run, naming the job's workload.
+fn run_batch(
+    session: Session<'_>,
+    jobs: Vec<AnalysisJob<'_>>,
+) -> Result<Vec<Result<InstrumentedReport, String>>, Stop> {
+    let names: Vec<&str> = jobs.iter().map(|job| job.label).collect();
+    let mut results = Vec::with_capacity(names.len());
+    for (name, result) in names.into_iter().zip(session.run(jobs)) {
+        if result.as_ref().is_ok_and(|ir| ir.cache == CacheOutcome::VerifyMismatch) {
+            return Err(Stop::Failed(format!(
+                "cache verify failed for {name} (entry does not match a fresh analysis)"
+            )));
+        }
+        results.push(result.map_err(|e| e.to_string()));
+    }
+    Ok(results)
+}
+
+/// The paper's §3 steady-state figure: the largest absolute difference
+/// between two runs' overall local-category shares.
+fn local_share_deviation(short: &WorkloadReport, long: &WorkloadReport) -> f64 {
+    let deviation = |cat| (short.local.overall_share(cat) - long.local.overall_share(cat)).abs();
+    LocalCat::ALL.into_iter().map(deviation).fold(0.0, f64::max)
+}
+
 fn main() -> ExitCode {
     let mut out = io::stdout().lock();
-    match run(&mut out).and_then(|code| out.flush().map(|()| code)) {
-        Ok(code) => code,
+    let ran = run(&mut out);
+    match ran.and(out.flush().map_err(Stop::from)) {
+        Ok(()) => ExitCode::SUCCESS,
         // A reader that stops early (`| head`) has what it wanted.
-        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => ExitCode::SUCCESS,
-        Err(e) => {
+        Err(Stop::Stdout(e)) if e.kind() == io::ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        Err(Stop::Stdout(e)) => {
             eprintln!("error: writing to stdout: {e}");
+            ExitCode::FAILURE
+        }
+        Err(Stop::Failed(message)) => {
+            eprintln!("error: {message}");
             ExitCode::FAILURE
         }
     }
 }
 
 /// The whole program, writing every table, check, listing and help line
-/// to `out`. A failure it reports on stderr returns
-/// [`ExitCode::FAILURE`]; a failed write to `out` ends it with the
-/// error.
-fn run(out: &mut impl Write) -> io::Result<ExitCode> {
-    let opts = match parse_args() {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return Ok(ExitCode::FAILURE);
-        }
-    };
+/// to `out`.
+fn run(out: &mut impl Write) -> Result<(), Stop> {
+    let opts = parse_args().map_err(Stop::Failed)?;
     if let Some(text) = &opts.print_only {
         out.write_all(text.as_bytes())?;
-        return Ok(ExitCode::SUCCESS);
+        return Ok(());
     }
 
     let (skip, window) = scale_windows(opts.scale.name()).expect("every scale has windows");
@@ -597,13 +646,13 @@ fn run(out: &mut impl Write) -> io::Result<ExitCode> {
     let workloads: Vec<Workload> =
         all().into_iter().filter(|w| opts.only.as_deref().is_none_or(|o| o == w.name)).collect();
     if workloads.is_empty() {
-        eprintln!("error: no benchmark matches --only filter");
-        return Ok(ExitCode::FAILURE);
+        return Err(Stop::Failed("no benchmark matches --only filter".to_string()));
     }
     if let Some(name) = &opts.annotate {
         if !workloads.iter().any(|w| w.name == name) {
-            eprintln!("error: --annotate {name} is excluded by the --only filter");
-            return Ok(ExitCode::FAILURE);
+            return Err(Stop::Failed(format!(
+                "--annotate {name} is excluded by the --only filter"
+            )));
         }
     }
     // Telemetry is strictly opt-in: no registry, no atomics anywhere on
@@ -612,15 +661,11 @@ fn run(out: &mut impl Write) -> io::Result<ExitCode> {
     let progress = opts.progress && std::io::stderr().is_terminal();
     let registry = (opts.heartbeat_out.is_some() || opts.telemetry_out.is_some() || progress)
         .then(|| Arc::new(TelemetryRegistry::new()));
-    let mut cache =
-        match opts.cache_dir.as_ref().map(|d| AnalysisCache::open(d.as_str())).transpose() {
-            Ok(c) => c,
-            Err(e) => {
-                let dir = opts.cache_dir.as_deref().unwrap_or_default();
-                eprintln!("error: opening cache at {dir}: {e}");
-                return Ok(ExitCode::FAILURE);
-            }
-        };
+    let open = |dir: &String| {
+        AnalysisCache::open(dir.as_str())
+            .map_err(|e| Stop::Failed(format!("opening cache at {dir}: {e}")))
+    };
+    let mut cache = opts.cache_dir.as_ref().map(open).transpose()?;
     if let (Some(c), Some(r)) = (cache.as_mut(), registry.as_deref()) {
         c.attach_telemetry(r);
     }
@@ -633,13 +678,9 @@ fn run(out: &mut impl Write) -> io::Result<ExitCode> {
                 period: Duration::from_millis(opts.heartbeat_ms.unwrap_or(200)),
                 progress,
             };
-            match HeartbeatSampler::start(Arc::clone(r), hb_cfg) {
-                Ok(s) => heartbeat = Some(s),
-                Err(e) => {
-                    eprintln!("error: starting heartbeat stream: {e}");
-                    return Ok(ExitCode::FAILURE);
-                }
-            }
+            let sampler = HeartbeatSampler::start(Arc::clone(r), hb_cfg)
+                .map_err(|e| Stop::Failed(format!("starting heartbeat stream: {e}")))?;
+            heartbeat = Some(sampler);
         }
     }
 
@@ -668,13 +709,7 @@ fn run(out: &mut impl Write) -> io::Result<ExitCode> {
         let assembling = Instant::now();
         let built = asm.and_then(|text| instrep_asm::assemble(&text).map_err(BuildError::from));
         built_at = Instant::now();
-        let image = match built {
-            Ok(image) => image,
-            Err(e) => {
-                eprintln!("error: building {} failed: {e}", wl.name);
-                return Ok(ExitCode::FAILURE);
-            }
-        };
+        let image = built.map_err(|e| Stop::Failed(format!("building {} failed: {e}", wl.name)))?;
         if let Some(lane) = main_lane.as_mut() {
             lane.push(format!("compile: {}", wl.name), "build", compiling, assembling, 0);
             lane.push(format!("assemble: {}", wl.name), "build", assembling, built_at, 0);
@@ -684,39 +719,47 @@ fn run(out: &mut impl Write) -> io::Result<ExitCode> {
     }
 
     let jobs_start = built_at;
-    let jobs: Vec<AnalysisJob<'_>> = workloads
-        .iter()
-        .zip(&images)
-        .map(|(wl, image)| AnalysisJob {
-            image,
-            input: wl.input(opts.scale, opts.seed),
-            label: wl.name,
-        })
-        .collect();
-    // One Session runs the whole fan-out; the probes are pull-based and
-    // the cache memoizes without perturbing, so every flag combination
+    // Every simulation of the run, the fan-out and both §3 checks, is one
+    // batch with a job per workload, and every batch follows the same
+    // flags: threads, interpreter tier, cache (and verify) and telemetry.
+    let jobs = |seed: u64| -> Vec<AnalysisJob<'_>> {
+        workloads
+            .iter()
+            .zip(&images)
+            .map(|(wl, image)| AnalysisJob {
+                image,
+                input: wl.input(opts.scale, seed),
+                label: wl.name,
+            })
+            .collect()
+    };
+    let session = |cfg: AnalysisConfig| {
+        let mut session = Session::new(cfg).jobs(threads).interp(opts.interp);
+        if let Some(c) = cache.as_ref() {
+            session = session.cache(c).cache_verify(opts.cache_verify);
+        }
+        if let Some(r) = registry.as_deref() {
+            session = session.telemetry(r);
+        }
+        session
+    };
+    // The fan-out adds its probes on top. They are pull-based and the
+    // cache memoizes without perturbing, so every flag combination
     // prints identical tables.
-    let mut session =
-        Session::new(cfg).jobs(threads).interp(opts.interp).metrics(opts.metrics_out.is_some());
+    let mut fan_out = session(cfg).metrics(opts.metrics_out.is_some());
     if let Some(n) = opts.interval {
-        session = session.interval(n);
+        fan_out = fan_out.interval(n);
     }
     if opts.wants_profile() {
-        session = session.profile(true);
+        fan_out = fan_out.profile(true);
     }
     if opts.wants_loops() {
-        session = session.loops(true);
+        fan_out = fan_out.loops(true);
     }
     if let Some(t) = tracer.as_mut() {
-        session = session.trace(t);
+        fan_out = fan_out.trace(t);
     }
-    if let Some(c) = cache.as_ref() {
-        session = session.cache(c).cache_verify(opts.cache_verify);
-    }
-    if let Some(r) = registry.as_deref() {
-        session = session.telemetry(r);
-    }
-    let results = session.run(jobs);
+    let results = run_batch(fan_out, jobs(opts.seed))?;
     let mut analyzed_events = 0;
     let mut reports: Vec<(String, WorkloadReport)> = Vec::new();
     let mut interval_series: Vec<(String, Vec<IntervalWindow>)> = Vec::new();
@@ -724,20 +767,7 @@ fn run(out: &mut impl Write) -> io::Result<ExitCode> {
     let mut loop_profiles: Vec<(String, LoopNestProfile)> = Vec::new();
     let mut workload_metrics = Vec::new();
     for ((wl, &built_ns), result) in workloads.iter().zip(&build_ns).zip(results) {
-        let ir = match result {
-            Ok(ir) => ir,
-            Err(e) => {
-                eprintln!("error: analyzing {} trapped: {e}", wl.name);
-                return Ok(ExitCode::FAILURE);
-            }
-        };
-        if ir.cache == CacheOutcome::VerifyMismatch {
-            eprintln!(
-                "error: cache verify failed for {} (entry does not match a fresh analysis)",
-                wl.name
-            );
-            return Ok(ExitCode::FAILURE);
-        }
+        let ir = result.map_err(|e| Stop::Failed(format!("analyzing {} trapped: {e}", wl.name)))?;
         let cache_note = match ir.cache {
             CacheOutcome::Hit => " (cached)",
             CacheOutcome::VerifyOk => " (cache verified)",
@@ -787,10 +817,7 @@ fn run(out: &mut impl Write) -> io::Result<ExitCode> {
             peak_rss_bytes: metrics::peak_rss_bytes(),
             wall_ns_total,
         };
-        if let Err(e) = std::fs::write(path, doc.to_json()) {
-            eprintln!("error: writing metrics to {path}: {e}");
-            return Ok(ExitCode::FAILURE);
-        }
+        write_file(path, doc.to_json(), "metrics")?;
         eprintln!("wrote metrics to {path}");
     }
     let named: Vec<Named<'_>> = reports.iter().map(|(n, r)| (n.as_str(), r)).collect();
@@ -851,60 +878,47 @@ fn run(out: &mut impl Write) -> io::Result<ExitCode> {
         use instrep_core::export;
         let summary = format!("{prefix}_summary.csv");
         let breakdowns = format!("{prefix}_breakdowns.csv");
-        if let Err(e) = std::fs::write(&summary, export::csv_summary(&named))
+        std::fs::write(&summary, export::csv_summary(&named))
             .and_then(|()| std::fs::write(&breakdowns, export::csv_breakdowns(&named)))
-        {
-            eprintln!("error: writing CSV files: {e}");
-            return Ok(ExitCode::FAILURE);
-        }
+            .map_err(|e| Stop::Failed(format!("writing CSV files: {e}")))?;
         eprintln!("wrote {summary} and {breakdowns}");
     }
 
     if opts.input_check || everything {
         // The paper's input-sensitivity check (§3): a second input set
-        // must show the same trends. It goes through the same cache, so
-        // warm full runs skip this simulation pass too.
+        // must show the same trends.
+        let second = run_batch(session(cfg), jobs(opts.seed.wrapping_add(7919)))?;
         writeln!(
             out,
             "Input-sensitivity check (paper §3): repetition rate with a second input set"
         )?;
         writeln!(out, "{:<12}{:>14}{:>14}{:>10}", "bench", "seed A", "seed B", "delta")?;
-        for ((wl, image), (_, r)) in workloads.iter().zip(&images).zip(&reports) {
-            let alt = wl.input(opts.scale, opts.seed.wrapping_add(7919));
-            let mut session = Session::new(cfg).interp(opts.interp);
-            if let Some(c) = cache.as_ref() {
-                session = session.cache(c).cache_verify(opts.cache_verify);
-            }
-            if let Some(r) = registry.as_deref() {
-                session = session.telemetry(r);
-            }
-            match session.run_one(image, alt) {
-                Ok(ir) if ir.cache == CacheOutcome::VerifyMismatch => {
-                    eprintln!(
-                        "error: cache verify failed for {} \
-                         (entry does not match a fresh analysis)",
-                        wl.name
-                    );
-                    return Ok(ExitCode::FAILURE);
-                }
+        for ((name, r), result) in reports.iter().zip(second) {
+            match result {
                 Ok(ir) => {
                     let a = r.repetition_rate() * 100.0;
                     let b = ir.report.repetition_rate() * 100.0;
-                    writeln!(out, "{:<12}{a:>13.1}%{b:>13.1}%{:>9.1}%", wl.name, (a - b).abs())?;
+                    writeln!(out, "{name:<12}{a:>13.1}%{b:>13.1}%{:>9.1}%", (a - b).abs())?;
                 }
-                Err(e) => writeln!(out, "{:<12} trapped: {e}", wl.name)?,
+                Err(e) => writeln!(out, "{name:<12} trapped: {e}")?,
             }
         }
         writeln!(out)?;
     }
 
     if opts.steady || everything {
+        // The paper's steady-state check (§3): the fan-out's window
+        // against one three times as long.
+        let long = AnalysisConfig { window: cfg.window.saturating_mul(3), ..cfg };
+        let long = run_batch(session(long), jobs(opts.seed))?;
         writeln!(out, "Steady-state check (paper §3): max local-category share deviation, window vs 3x window")?;
-        for (wl, image) in workloads.iter().zip(&images) {
-            let input = wl.input(opts.scale, opts.seed);
-            match steady_state_check(image, input, &cfg, 3) {
-                Ok(dev) => writeln!(out, "    {:<10} {:>6.2}%", wl.name, dev * 100.0)?,
-                Err(e) => writeln!(out, "    {:<10} trapped: {e}", wl.name)?,
+        for ((name, short), result) in reports.iter().zip(long) {
+            match result {
+                Ok(ir) => {
+                    let dev = local_share_deviation(short, &ir.report);
+                    writeln!(out, "    {name:<10} {:>6.2}%", dev * 100.0)?;
+                }
+                Err(e) => writeln!(out, "    {name:<10} trapped: {e}")?,
             }
         }
     }
@@ -928,18 +942,12 @@ fn run(out: &mut impl Write) -> io::Result<ExitCode> {
         for w in 0..threads {
             t.name_lane(w as u32 + 1, &format!("worker-{w}"));
         }
-        if let Err(e) = std::fs::write(path, t.to_json()) {
-            eprintln!("error: writing trace to {path}: {e}");
-            return Ok(ExitCode::FAILURE);
-        }
+        write_file(path, t.to_json(), "trace")?;
         eprintln!("wrote trace to {path} (open in https://ui.perfetto.dev)");
     }
     if let (Some(path), Some(n)) = (opts.interval_out.as_ref(), opts.interval) {
         let doc = interval::to_jsonl(opts.scale.name(), opts.seed, threads, n, &interval_series);
-        if let Err(e) = std::fs::write(path, doc) {
-            eprintln!("error: writing interval series to {path}: {e}");
-            return Ok(ExitCode::FAILURE);
-        }
+        write_file(path, doc, "interval series")?;
         eprintln!("wrote interval series to {path}");
     }
     if opts.profile_out.is_some() || opts.profile_folded.is_some() {
@@ -950,17 +958,11 @@ fn run(out: &mut impl Write) -> io::Result<ExitCode> {
             workloads: std::mem::take(&mut profiles),
         };
         if let Some(path) = &opts.profile_out {
-            if let Err(e) = std::fs::write(path, doc.to_json()) {
-                eprintln!("error: writing profile to {path}: {e}");
-                return Ok(ExitCode::FAILURE);
-            }
+            write_file(path, doc.to_json(), "profile")?;
             eprintln!("wrote profile to {path}");
         }
         if let Some(path) = &opts.profile_folded {
-            if let Err(e) = std::fs::write(path, doc.to_folded()) {
-                eprintln!("error: writing folded stacks to {path}: {e}");
-                return Ok(ExitCode::FAILURE);
-            }
+            write_file(path, doc.to_folded(), "folded stacks")?;
             eprintln!("wrote folded stacks to {path} (render with a flamegraph tool)");
         }
     }
@@ -972,17 +974,11 @@ fn run(out: &mut impl Write) -> io::Result<ExitCode> {
             workloads: std::mem::take(&mut loop_profiles),
         };
         if let Some(path) = &opts.loops_out {
-            if let Err(e) = std::fs::write(path, doc.to_json()) {
-                eprintln!("error: writing loop profile to {path}: {e}");
-                return Ok(ExitCode::FAILURE);
-            }
+            write_file(path, doc.to_json(), "loop profile")?;
             eprintln!("wrote loop profile to {path}");
         }
         if let Some(path) = &opts.loops_folded {
-            if let Err(e) = std::fs::write(path, doc.to_folded()) {
-                eprintln!("error: writing loop stacks to {path}: {e}");
-                return Ok(ExitCode::FAILURE);
-            }
+            write_file(path, doc.to_folded(), "loop stacks")?;
             eprintln!("wrote loop stacks to {path} (render with a flamegraph tool)");
         }
     }
@@ -990,22 +986,16 @@ fn run(out: &mut impl Write) -> io::Result<ExitCode> {
     // The sampler is stopped (and its final beat flushed) before the
     // exposition snapshot so both exports agree on the final totals.
     if let Some(hb) = heartbeat {
-        if let Err(e) = hb.stop() {
-            eprintln!("error: writing heartbeats: {e}");
-            return Ok(ExitCode::FAILURE);
-        }
+        hb.stop().map_err(|e| Stop::Failed(format!("writing heartbeats: {e}")))?;
         if let Some(path) = &opts.heartbeat_out {
             eprintln!("wrote heartbeats to {path}");
         }
     }
     if let (Some(path), Some(r)) = (opts.telemetry_out.as_ref(), registry.as_deref()) {
         let doc = telemetry::render_prometheus(&r.snapshot());
-        if let Err(e) = std::fs::write(path, doc) {
-            eprintln!("error: writing telemetry exposition to {path}: {e}");
-            return Ok(ExitCode::FAILURE);
-        }
+        write_file(path, doc, "telemetry exposition")?;
         eprintln!("wrote telemetry exposition to {path}");
     }
 
-    Ok(ExitCode::SUCCESS)
+    Ok(())
 }

@@ -1255,3 +1255,36 @@ fn warm_cache_exposition_shows_hits_and_lookup_latency() {
     assert!(text.contains("# TYPE instrep_cache_lookup_ns histogram"), "histogram typed: {text}");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A warm default run, tables and both §3 checks, simulates nothing: the
+/// fan-out, the second-input run and the long window each hit the cache,
+/// and stdout equals an uncached run's.
+#[test]
+fn warm_default_run_simulates_nothing() {
+    let dir = std::env::temp_dir().join(format!("instrep-warm-default-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let cache_dir = dir.join("cache");
+    let telem = dir.join("telem.txt");
+    let plain_args = ["--scale", "tiny", "--only", "compress"];
+    let plain = run(&plain_args);
+    assert!(plain.status.success(), "stderr: {}", stderr_of(&plain));
+    let mut args = plain_args.to_vec();
+    args.extend_from_slice(&["--cache-dir", cache_dir.to_str().unwrap()]);
+    let cold = run(&args);
+    assert!(cold.status.success(), "stderr: {}", stderr_of(&cold));
+    args.extend_from_slice(&["--telemetry-out", telem.to_str().unwrap()]);
+    let warm = run(&args);
+    assert!(warm.status.success(), "stderr: {}", stderr_of(&warm));
+    assert_eq!(plain.stdout, cold.stdout, "a cold cache changed stdout");
+    assert_eq!(plain.stdout, warm.stdout, "a warm cache changed stdout");
+    let text = std::fs::read_to_string(&telem).expect("exposition file written");
+    for line in [
+        "instrep_cache_hit 3",
+        "instrep_cache_miss 0",
+        "instrep_session_runs_finished 3",
+        "instrep_lane_icount{lane=\"0\"} 0",
+    ] {
+        assert!(text.lines().any(|l| l == line), "no `{line}` in the exposition:\n{text}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -101,6 +101,10 @@ fn parse_args() -> Result<Args, String> {
                 heartbeat_ms = value("--heartbeat-ms")?
                     .parse()
                     .map_err(|_| "--heartbeat-ms expects milliseconds".to_string())?;
+                // A zero period would write heartbeats in a busy loop.
+                if heartbeat_ms == 0 {
+                    return Err("--heartbeat-ms must be at least 1".to_string());
+                }
             }
             "--help" | "-h" => {
                 print!("{USAGE}");

@@ -230,6 +230,48 @@ fn refuses_a_live_socket_and_replaces_a_stale_one() {
     stop(server);
 }
 
+/// A zero heartbeat period would write heartbeats in a busy loop, so the
+/// daemon refuses it while parsing its flags, before it makes the
+/// heartbeat file or the socket. A daemon that starts anyway is killed
+/// after two seconds and fails the test.
+#[test]
+fn zero_heartbeat_period_is_refused_before_start() {
+    use std::io::Read;
+    use std::process::{Command, Stdio};
+
+    let dir = scratch_dir("svc-hb0");
+    let (socket, beats) = (dir.join("serve.sock"), dir.join("hb.jsonl"));
+    let mut daemon = Command::new(env!("CARGO_BIN_EXE_instrep-serve"))
+        .arg("--socket")
+        .arg(&socket)
+        .args(["--heartbeat-ms", "0", "--heartbeat-out"])
+        .arg(&beats)
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn instrep-serve");
+    let deadline = Instant::now() + Duration::from_secs(2);
+    let status = loop {
+        if let Some(status) = daemon.try_wait().unwrap() {
+            break Some(status);
+        }
+        if Instant::now() >= deadline {
+            daemon.kill().ok();
+            daemon.wait().ok();
+            break None;
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    };
+    let mut err = String::new();
+    daemon.stderr.take().unwrap().read_to_string(&mut err).unwrap();
+    let made = (beats.exists(), socket.exists());
+    std::fs::remove_dir_all(&dir).ok();
+    // `None`: still running after two seconds.
+    assert_eq!(status.map(|s| s.code()), Some(Some(2)), "stderr: {err}");
+    assert!(err.contains("--heartbeat-ms must be at least 1"), "stderr: {err}");
+    assert_eq!(made, (false, false), "(heartbeat file, socket) created");
+}
+
 #[test]
 fn fresh_connections_wait_for_no_poll() {
     let (server, _registry) = start(ServeConfig::new(socket_path("svc-connect")));

@@ -49,6 +49,33 @@ for f in repro_small.txt small_summary.csv small_breakdowns.csv; do
     }
 done
 
+# The tracker-cap and reuse-geometry ablations of every family, which
+# EXPERIMENTS.md quotes. Regenerate with the loop below, writing to
+# results/reuse_buffer_sweep.txt.
+echo "==> results/reuse_buffer_sweep.txt matches the example (release)"
+cargo build --release --offline --example reuse_buffer_sweep
+for w in $(target/release/instrep-repro --list | tail -n +2 | cut -d' ' -f1); do
+    target/release/examples/reuse_buffer_sweep "$w"
+    echo
+done >"$SMOKE_DIR/reuse_buffer_sweep.txt"
+cmp results/reuse_buffer_sweep.txt "$SMOKE_DIR/reuse_buffer_sweep.txt" || {
+    echo "results/reuse_buffer_sweep.txt differs from a fresh sweep" >&2
+    exit 1
+}
+
+# The goldens run one workload, where --jobs clamps to one thread. All
+# ten families, tables and both §3 checks, must print the same bytes
+# whatever the thread count.
+echo "==> every family prints the same bytes at --jobs 1 and 4 (tiny, release)"
+for JOBS in 1 4; do
+    target/release/instrep-repro --scale tiny --jobs "$JOBS" \
+        >"$SMOKE_DIR/tiny-j$JOBS.txt" 2>/dev/null
+done
+cmp "$SMOKE_DIR/tiny-j1.txt" "$SMOKE_DIR/tiny-j4.txt" || {
+    echo "--scale tiny output differs between --jobs 1 and --jobs 4" >&2
+    exit 1
+}
+
 # A reader that closes stdout early must not crash instrep-repro: the
 # pipeline passes under pipefail only if it exits 0.
 echo "==> closed-stdout smoke (| head -1)"
