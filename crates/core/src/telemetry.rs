@@ -18,7 +18,7 @@
 //! per-lane icounts in consecutive heartbeats are non-decreasing. No
 //! cross-variable snapshot atomicity is claimed (a heartbeat may catch
 //! a counter mid-phase); the final snapshot is exact because the
-//! sampler's stop flag is only raised after worker threads have joined.
+//! sampler is only stopped after worker threads have joined.
 //!
 //! Three renderings share [`TELEMETRY_SCHEMA_VERSION`]:
 //!
@@ -33,7 +33,8 @@ use crate::json::{JsonWriter, Layout};
 use crate::metrics::ns_between;
 use std::io::Write;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -224,11 +225,6 @@ pub struct LaneTelemetry {
 }
 
 impl LaneTelemetry {
-    /// Lane (worker) index.
-    pub fn lane_index(&self) -> u32 {
-        self.lane
-    }
-
     /// Publishes the lane's current phase.
     pub fn set_phase(&self, phase: LanePhase) {
         self.phase.store(phase as u8, Ordering::Relaxed);
@@ -682,7 +678,9 @@ pub struct HeartbeatConfig {
 /// [`stop`]: HeartbeatSampler::stop
 #[derive(Debug)]
 pub struct HeartbeatSampler {
-    stop: Arc<AtomicBool>,
+    /// Dropped to stop: the thread blocks in `recv_timeout` on the
+    /// other end, and the disconnect wakes it for its final beat.
+    stop: Option<mpsc::Sender<()>>,
     handle: Option<std::thread::JoinHandle<std::io::Result<()>>>,
 }
 
@@ -706,15 +704,17 @@ impl HeartbeatSampler {
             }
             None => None,
         };
-        let stop = Arc::new(AtomicBool::new(false));
-        let flag = Arc::clone(&stop);
+        let (stop, stopped) = mpsc::channel::<()>();
         let handle = std::thread::Builder::new()
             .name("instrep-heartbeat".to_string())
             .spawn(move || -> std::io::Result<()> {
                 let mut seq = 0u64;
                 let mut prev: Option<TelemetrySnapshot> = None;
                 loop {
-                    let stopping = wait(&flag, cfg.period);
+                    // Nothing is sent: a period passes, or the sender is
+                    // dropped and this is the final beat.
+                    let stopping =
+                        !matches!(stopped.recv_timeout(cfg.period), Err(RecvTimeoutError::Timeout));
                     seq += 1;
                     let snap = registry.snapshot();
                     if let Some(f) = file.as_mut() {
@@ -737,7 +737,7 @@ impl HeartbeatSampler {
                 Ok(())
             })
             .expect("spawning heartbeat thread");
-        Ok(HeartbeatSampler { stop, handle: Some(handle) })
+        Ok(HeartbeatSampler { stop: Some(stop), handle: Some(handle) })
     }
 
     /// Signals the thread, waits for its final beat, and surfaces any
@@ -748,7 +748,7 @@ impl HeartbeatSampler {
     /// Returns the thread's deferred write error, or a synthetic error
     /// if it panicked.
     pub fn stop(mut self) -> std::io::Result<()> {
-        self.stop.store(true, Ordering::SeqCst);
+        self.stop = None;
         match self.handle.take().expect("heartbeat sampler already stopped").join() {
             Ok(r) => r,
             Err(_) => Err(std::io::Error::other("heartbeat thread panicked")),
@@ -762,25 +762,9 @@ impl Drop for HeartbeatSampler {
         // paths), still signal and join so the file is flushed and the
         // progress line cleared.
         if let Some(handle) = self.handle.take() {
-            self.stop.store(true, Ordering::SeqCst);
+            self.stop = None;
             let _ = handle.join();
         }
-    }
-}
-
-/// Sleeps up to `period` in short slices, polling the stop flag.
-/// Returns true when stopping (so the caller emits one final beat).
-fn wait(stop: &AtomicBool, period: Duration) -> bool {
-    let deadline = Instant::now() + period;
-    loop {
-        if stop.load(Ordering::SeqCst) {
-            return true;
-        }
-        let now = Instant::now();
-        if now >= deadline {
-            return false;
-        }
-        std::thread::sleep((deadline - now).min(Duration::from_millis(5)));
     }
 }
 

@@ -82,11 +82,6 @@ impl SpanLane {
         SpanLane { lane, epoch, spans: Vec::new() }
     }
 
-    /// This lane's id (the Chrome `tid`).
-    pub fn lane_id(&self) -> u32 {
-        self.lane
-    }
-
     /// Appends a completed span from `start` to `end`, two instants the
     /// caller read. A caller that reads its instants in order, and
     /// appends an enclosing span with its first child's start and its

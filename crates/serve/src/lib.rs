@@ -17,10 +17,12 @@
 //! * **Bounded queue with explicit backpressure.** At most
 //!   [`ServeConfig::queue`] requests wait for a worker; when the queue
 //!   is full the daemon answers `overloaded` with a `retry_after_ms`
-//!   hint instead of buffering without bound. The queue bounds work
-//!   that compiles or simulates: a request for a built workload that
-//!   asks for the report alone is looked up on its connection's thread,
-//!   and a hit is answered there without a worker (`DESIGN.md` §17.2).
+//!   hint instead of buffering without bound. Each request is resolved
+//!   once, on its connection's thread, so the queue holds only work
+//!   that builds, compiles or simulates: an unknown workload is refused
+//!   there, and a request for a built workload that asks for the report
+//!   alone is looked up there, a hit answered without a worker
+//!   (`DESIGN.md` §17.2).
 //! * **Per-request wall-clock timeouts.** Every request gets
 //!   [`ServeConfig::timeout`] from the moment it is accepted onto the
 //!   queue. A request still queued at its deadline is abandoned without
@@ -47,7 +49,6 @@
 //! The crate is a library so tests (and embedders) can run the server
 //! in-process; `src/main.rs` is a thin CLI over [`Server::start`].
 
-use std::collections::HashMap;
 use std::io::{ErrorKind as IoErrorKind, Read, Write};
 use std::net::Shutdown;
 use std::os::fd::OwnedFd;
@@ -55,7 +56,7 @@ use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender, SyncSender, TrySendError};
-use std::sync::{mpsc, Arc, Mutex, PoisonError};
+use std::sync::{mpsc, Arc, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -166,30 +167,57 @@ struct Ctx {
     max_request_bytes: usize,
     shutdown: Arc<AtomicBool>,
     cache: Option<AnalysisCache>,
-    /// Built in-tree workloads, memoized by name: the sources are
-    /// static, so every request for `"compress"` shares one build and
-    /// one hash of its image.
-    images: Mutex<HashMap<String, Arc<Built>>>,
+    /// The in-tree workloads, in [`instrep_workloads::all`] order. The
+    /// sources are static, so every request for `"compress"` shares one
+    /// build and one hash of its image.
+    roster: Vec<Entry>,
     registry: Arc<TelemetryRegistry>,
     tel: ServeTelemetry,
+}
+
+/// One roster workload and its build, made once by the worker that
+/// runs its first request; a request racing that one waits for it.
+struct Entry {
+    wl: Workload,
+    built: OnceLock<Result<Built, String>>,
+}
+
+impl Entry {
+    /// The workload's build, building it on first use.
+    fn build(&self) -> &Result<Built, String> {
+        self.built.get_or_init(|| match self.wl.build() {
+            Ok(image) => Ok(Built { key: ImageKey::of(&image), image }),
+            Err(e) => Err(format!("workload `{}` failed to build: {e}", self.wl.name)),
+        })
+    }
 }
 
 /// A built in-tree workload: its image, and the image half of the
 /// cache key of every request for it.
 struct Built {
-    wl: Workload,
     image: Image,
     key: ImageKey,
 }
 
-/// A request whose key its connection thread looked up and missed:
-/// everything the worker needs to simulate it and store the report
-/// under that key.
-struct Missed {
-    built: Arc<Built>,
+/// The program a request runs.
+enum Program {
+    /// A [`Ctx::roster`] index.
+    Workload(usize),
+    /// Raw MiniC source, compiled by the worker.
+    Source(String),
+}
+
+/// A decoded request, resolved once on its connection thread.
+struct Work {
+    id: u64,
+    program: Program,
     input: Vec<u8>,
     cfg: AnalysisConfig,
-    key: CacheKey,
+    metrics: bool,
+    profile: bool,
+    loops: bool,
+    /// Set when the connection thread looked the key up and missed.
+    key: Option<CacheKey>,
 }
 
 /// One queued request: the work, its wall-clock deadline, and the
@@ -197,21 +225,9 @@ struct Missed {
 /// (queue torn down at shutdown) makes the connection's receiver
 /// disconnect, which it answers as `shutting_down`.
 struct WorkItem {
-    req: Request,
-    /// Set when the connection thread already looked the request up.
-    missed: Option<Missed>,
+    work: Work,
     deadline: Instant,
     reply: Sender<Response>,
-}
-
-/// What a connection thread made of a request before the queue.
-enum Admission {
-    /// A cache hit, answered without a worker.
-    Answered(Response),
-    /// Looked up and missed: the worker runs it as prepared.
-    Missed(Missed),
-    /// Everything else: the worker handles the request whole.
-    Queue,
 }
 
 /// A running daemon. Dropping the handle does **not** stop the server;
@@ -257,7 +273,10 @@ impl Server {
             max_request_bytes: cfg.max_request_bytes,
             shutdown: Arc::clone(&shutdown),
             cache,
-            images: Mutex::new(HashMap::new()),
+            roster: instrep_workloads::all()
+                .into_iter()
+                .map(|wl| Entry { wl, built: OnceLock::new() })
+                .collect(),
             registry,
             tel,
         });
@@ -444,15 +463,9 @@ fn handle_connection(mut stream: &UnixStream, tx: &SyncSender<WorkItem>, ctx: &A
             LineOutcome::Line(line) => handle_request_line(&line, tx, ctx),
             LineOutcome::Oversized => {
                 ctx.tel.bad_requests.inc();
-                Response::Error(ServiceError {
-                    id: 0,
-                    kind: ErrorKind::Oversized,
-                    message: format!(
-                        "request line exceeds {} bytes and was discarded",
-                        ctx.max_request_bytes
-                    ),
-                    retry_after_ms: None,
-                })
+                let max = ctx.max_request_bytes;
+                let message = format!("request line exceeds {max} bytes and was discarded");
+                error(0, ErrorKind::Oversized, message)
             }
             LineOutcome::Closed => break,
         };
@@ -471,18 +484,13 @@ fn peek_id(line: &str) -> u64 {
     Json::parse(line).ok().and_then(|doc| doc.get("id").and_then(Json::u64)).unwrap_or(0)
 }
 
-/// Decodes and admission-controls one request, then answers it from
-/// the cache or queues it and awaits the worker's response.
+/// Decodes one request and resolves it, then answers it from the cache
+/// or queues it and awaits the worker's response.
 fn handle_request_line(raw: &[u8], tx: &SyncSender<WorkItem>, ctx: &Ctx) -> Response {
     ctx.tel.requests.inc();
     let Ok(line) = std::str::from_utf8(raw) else {
         ctx.tel.bad_requests.inc();
-        return Response::Error(ServiceError {
-            id: 0,
-            kind: ErrorKind::BadRequest,
-            message: "request line is not valid UTF-8".to_string(),
-            retry_after_ms: None,
-        });
+        return error(0, ErrorKind::BadRequest, "request line is not valid UTF-8");
     };
     let req = match Request::decode(line) {
         Ok(req) => req,
@@ -492,30 +500,27 @@ fn handle_request_line(raw: &[u8], tx: &SyncSender<WorkItem>, ctx: &Ctx) -> Resp
                 RequestError::UnsupportedVersion { .. } => ErrorKind::UnsupportedVersion,
                 RequestError::Malformed(_) => ErrorKind::BadRequest,
             };
-            return Response::Error(ServiceError {
-                id: peek_id(line),
-                kind,
-                message: e.message(),
-                retry_after_ms: None,
-            });
+            return error(peek_id(line), kind, e.message());
         }
     };
     let id = req.id;
     if ctx.shutdown.load(Ordering::SeqCst) {
         ctx.tel.shutdown_rejected.inc();
-        return Response::Error(ServiceError {
-            id,
-            kind: ErrorKind::ShuttingDown,
-            message: "daemon is draining for shutdown".to_string(),
-            retry_after_ms: None,
-        });
+        return error(id, ErrorKind::ShuttingDown, "daemon is draining for shutdown");
     }
-
-    let missed = match admit(&req, ctx) {
-        Admission::Answered(response) => return response,
-        Admission::Missed(missed) => Some(missed),
-        Admission::Queue => None,
+    let started = Instant::now();
+    let mut work = match resolve(req, ctx) {
+        Ok(work) => work,
+        Err(response) => {
+            ctx.tel.bad_requests.inc();
+            return response;
+        }
     };
+    if let Some(response) = lookup(&mut work, ctx) {
+        ctx.tel.request_ns.record(ns_between(started, Instant::now()));
+        ctx.tel.responses_ok.inc();
+        return response;
+    }
 
     let (reply_tx, reply_rx) = mpsc::channel();
     let deadline = Instant::now() + ctx.timeout;
@@ -523,7 +528,7 @@ fn handle_request_line(raw: &[u8], tx: &SyncSender<WorkItem>, ctx: &Ctx) -> Resp
     // decrement) the instant the item lands, so incrementing after the
     // send could underflow the depth gauge.
     ctx.tel.queue_push();
-    match tx.try_send(WorkItem { req, missed, deadline, reply: reply_tx }) {
+    match tx.try_send(WorkItem { work, deadline, reply: reply_tx }) {
         Ok(()) => {}
         Err(TrySendError::Full(_)) => {
             ctx.tel.queue_pop();
@@ -538,12 +543,7 @@ fn handle_request_line(raw: &[u8], tx: &SyncSender<WorkItem>, ctx: &Ctx) -> Resp
         Err(TrySendError::Disconnected(_)) => {
             ctx.tel.queue_pop();
             ctx.tel.shutdown_rejected.inc();
-            return Response::Error(ServiceError {
-                id,
-                kind: ErrorKind::ShuttingDown,
-                message: "daemon is draining for shutdown".to_string(),
-                retry_after_ms: None,
-            });
+            return error(id, ErrorKind::ShuttingDown, "daemon is draining for shutdown");
         }
     }
     match reply_rx.recv_timeout(ctx.timeout) {
@@ -555,55 +555,79 @@ fn handle_request_line(raw: &[u8], tx: &SyncSender<WorkItem>, ctx: &Ctx) -> Resp
         }
         Err(RecvTimeoutError::Timeout) => {
             ctx.tel.timeouts.inc();
-            Response::Error(ServiceError {
-                id,
-                kind: ErrorKind::Timeout,
-                message: format!(
-                    "no result within {}ms; the request was abandoned",
-                    ctx.timeout.as_millis()
-                ),
-                retry_after_ms: None,
-            })
+            let ms = ctx.timeout.as_millis();
+            let message = format!("no result within {ms}ms; the request was abandoned");
+            error(id, ErrorKind::Timeout, message)
         }
-        Err(RecvTimeoutError::Disconnected) => Response::Error(ServiceError {
-            id,
-            kind: ErrorKind::ShuttingDown,
-            message: "daemon shut down before the request completed".to_string(),
-            retry_after_ms: None,
-        }),
+        Err(RecvTimeoutError::Disconnected) => {
+            error(id, ErrorKind::ShuttingDown, "daemon shut down before the request completed")
+        }
     }
 }
 
-/// Looks a request up in the cache on its connection's thread when
-/// that can answer it: a built workload, with a cache, asking for the
-/// report alone. The image's key half is kept, so the lookup hashes
-/// only the input and the config. Everything else goes to a worker
-/// whole: raw sources and a workload's first request compile, profile
-/// and loops requests bypass the cache, and a metrics payload times
-/// the lookup as the first phase of the run that follows a miss, so
-/// the two stay in one session.
-fn admit(req: &Request, ctx: &Ctx) -> Admission {
-    let (Some(cache), RequestSource::Workload(name)) = (&ctx.cache, &req.source) else {
-        return Admission::Queue;
+/// Resolves a decoded request, once: its config (its scale's windows,
+/// with its overrides) and, for a workload, its roster entry and input.
+/// A request that cannot run, such as one for an unknown workload, is
+/// answered `bad_request` here and never takes a queue slot.
+fn resolve(req: Request, ctx: &Ctx) -> Result<Work, Response> {
+    let (Some((skip, window)), Some(scale)) =
+        (scale_windows(&req.scale), Scale::from_name(&req.scale))
+    else {
+        return Err(error(req.id, ErrorKind::BadRequest, format!("unknown scale `{}`", req.scale)));
     };
-    if req.want_metrics || req.want_profile || req.want_loops {
-        return Admission::Queue;
-    }
-    let built = ctx.images.lock().unwrap_or_else(PoisonError::into_inner).get(name).cloned();
-    let (Some(built), Ok(scale), Ok(cfg)) = (built, request_scale(req), request_config(req)) else {
-        return Admission::Queue;
-    };
-    let started = Instant::now();
-    let input = built.wl.input(scale, req.seed);
-    let key = built.key.key(&input, &cfg);
-    match Session::new(cfg).cache(cache).lookup(&key) {
-        Some(ir) => {
-            let response = report_response(req, &cfg, ir);
-            ctx.tel.request_ns.record(ns_between(started, Instant::now()));
-            ctx.tel.responses_ok.inc();
-            Admission::Answered(response)
+    let (program, input) = match req.source {
+        RequestSource::Workload(name) => {
+            let Some(at) = ctx.roster.iter().position(|e| e.wl.name == name) else {
+                let message = format!("unknown workload `{name}`");
+                return Err(error(req.id, ErrorKind::BadRequest, message));
+            };
+            (Program::Workload(at), ctx.roster[at].wl.input(scale, req.seed))
         }
-        None => Admission::Missed(Missed { built, input, cfg, key }),
+        RequestSource::Source(minic) => (Program::Source(minic), Vec::new()),
+    };
+    let defaults = AnalysisConfig::default();
+    let cfg = AnalysisConfig {
+        skip: req.skip.unwrap_or(skip),
+        window: req.window.unwrap_or(window),
+        top_k: req.top_k.unwrap_or(defaults.top_k),
+        ..defaults
+    };
+    Ok(Work {
+        id: req.id,
+        program,
+        input,
+        cfg,
+        metrics: req.want_metrics,
+        profile: req.want_profile,
+        loops: req.want_loops,
+        key: None,
+    })
+}
+
+/// Looks `work` up in the cache on its connection's thread when that
+/// can answer it: a built workload, with a cache, asking for the report
+/// alone. The image's key half is kept, so the lookup hashes only the
+/// input and the config. A hit is the response; a miss keeps its key
+/// for the worker. Everything else is left to the worker: raw sources
+/// and a workload's first request compile, profile and loops requests
+/// bypass the cache, and a metrics payload times the lookup as the
+/// first phase of the run that follows a miss, so the two stay in one
+/// session.
+fn lookup(work: &mut Work, ctx: &Ctx) -> Option<Response> {
+    let (Some(cache), Program::Workload(at)) = (&ctx.cache, &work.program) else {
+        return None;
+    };
+    if work.metrics || work.profile || work.loops {
+        return None;
+    }
+    let Some(Ok(built)) = ctx.roster[*at].built.get() else { return None };
+    let key = built.key.key(&work.input, &work.cfg);
+    match Session::new(work.cfg).cache(cache).lookup(&key) {
+        Some(ir) => Some(report_response(work.id, &work.cfg, ir)),
+        None => {
+            work.key = Some(key);
+            None
+        }
     }
 }
 
@@ -620,37 +644,25 @@ fn worker_loop(worker: usize, rx: &Mutex<Receiver<WorkItem>>, ctx: &Ctx) {
             Ok(guard) => guard.recv(),
             Err(_) => return,
         };
-        let Ok(item) = item else { return };
+        let Ok(WorkItem { work, deadline, reply }) = item else { return };
         ctx.tel.queue_pop();
-        if Instant::now() >= item.deadline {
+        if Instant::now() >= deadline {
             // Expired while queued: abandon without running so a burst
             // of doomed work cannot wedge the pool.
             ctx.tel.abandoned.inc();
-            let _ = item.reply.send(Response::Error(ServiceError {
-                id: item.req.id,
-                kind: ErrorKind::Timeout,
-                message: "request expired while queued".to_string(),
-                retry_after_ms: None,
-            }));
+            let _ = reply.send(error(work.id, ErrorKind::Timeout, "request expired while queued"));
             continue;
         }
-        let label = match &item.req.source {
-            RequestSource::Workload(name) => name.clone(),
-            RequestSource::Source(_) => "<raw source>".to_string(),
-        };
-        lane.set_label(&label);
+        lane.set_label(match work.program {
+            Program::Workload(at) => ctx.roster[at].wl.name,
+            Program::Source(_) => "<raw source>",
+        });
         let started = Instant::now();
-        let response = match item.missed {
-            Some(m) => {
-                let job = AnalysisJob { image: &m.built.image, input: m.input, label: "" };
-                respond(&item.req, &m.cfg, session(m.cfg, ctx).run_missed(job, m.key))
-            }
-            None => process(&item.req, ctx),
-        };
+        let response = run(work, ctx);
         ctx.tel.request_ns.record(ns_between(started, Instant::now()));
         lane.job_done();
         lane.set_label("");
-        if item.reply.send(response).is_err() {
+        if reply.send(response).is_err() {
             // The connection gave up (timeout) or went away; the result
             // is dropped, never served stale.
             ctx.tel.abandoned.inc();
@@ -658,111 +670,50 @@ fn worker_loop(worker: usize, rx: &Mutex<Receiver<WorkItem>>, ctx: &Ctx) {
     }
 }
 
-fn error(id: u64, kind: ErrorKind, message: String) -> Response {
-    Response::Error(ServiceError { id, kind, message, retry_after_ms: None })
+fn error(id: u64, kind: ErrorKind, message: impl Into<String>) -> Response {
+    Response::Error(ServiceError { id, kind, message: message.into(), retry_after_ms: None })
 }
 
-/// The workload scale a request names.
-fn request_scale(req: &Request) -> Result<Scale, Response> {
-    Scale::from_name(&req.scale).ok_or_else(|| {
-        error(req.id, ErrorKind::BadRequest, format!("unknown scale `{}`", req.scale))
-    })
-}
-
-/// The analysis config a request asks for: its scale's windows, with
-/// its overrides.
-fn request_config(req: &Request) -> Result<AnalysisConfig, Response> {
-    let Some((skip, window)) = scale_windows(&req.scale) else {
-        return Err(error(req.id, ErrorKind::BadRequest, format!("unknown scale `{}`", req.scale)));
-    };
-    let defaults = AnalysisConfig::default();
-    Ok(AnalysisConfig {
-        skip: req.skip.unwrap_or(skip),
-        window: req.window.unwrap_or(window),
-        top_k: req.top_k.unwrap_or(defaults.top_k),
-        ..defaults
-    })
-}
-
-/// The memoized build of workload `name`, building it on first use.
-/// The build runs outside the memo's lock, so no other request waits
-/// for it; when two requests race to build one workload, the first
-/// insert wins and the other build is dropped.
-fn built_workload(name: &str, wl: Workload, ctx: &Ctx) -> Result<Arc<Built>, String> {
-    let memo = || ctx.images.lock().unwrap_or_else(PoisonError::into_inner);
-    if let Some(built) = memo().get(name) {
-        return Ok(Arc::clone(built));
-    }
-    let image = wl.build().map_err(|e| format!("workload `{name}` failed to build: {e}"))?;
-    let built = Arc::new(Built { wl, key: ImageKey::of(&image), image });
-    Ok(Arc::clone(memo().entry(name.to_string()).or_insert(built)))
-}
-
-/// Runs one request through a fresh [`Session`] against the shared
-/// cache.
-fn process(req: &Request, ctx: &Ctx) -> Response {
-    let raw;
-    let built;
-    let (image, input) = match &req.source {
-        RequestSource::Workload(name) => {
-            let Some(wl) = instrep_workloads::by_name(name) else {
-                return error(req.id, ErrorKind::BadRequest, format!("unknown workload `{name}`"));
-            };
-            let scale = match request_scale(req) {
-                Ok(scale) => scale,
-                Err(response) => return response,
-            };
-            built = match built_workload(name, wl, ctx) {
-                Ok(built) => built,
-                Err(message) => return error(req.id, ErrorKind::AnalysisFailed, message),
-            };
-            (&built.image, wl.input(scale, req.seed))
-        }
-        RequestSource::Source(minic) => match instrep_minicc::build(minic) {
+/// Runs one resolved request through a fresh [`Session`] against the
+/// shared cache: builds its workload if this is the first request for
+/// it, or compiles its source, then simulates, under the key its
+/// connection thread missed when there is one.
+fn run(work: Work, ctx: &Ctx) -> Response {
+    let Work { id, program, input, cfg, metrics, profile, loops, key } = work;
+    let compiled;
+    let image = match &program {
+        Program::Workload(at) => match ctx.roster[*at].build() {
+            Ok(built) => &built.image,
+            Err(message) => return error(id, ErrorKind::AnalysisFailed, message.as_str()),
+        },
+        Program::Source(minic) => match instrep_minicc::build(minic) {
             Ok(image) => {
-                raw = image;
-                (&raw, Vec::new())
+                compiled = image;
+                &compiled
             }
             Err(e) => {
-                return error(req.id, ErrorKind::BadRequest, format!("source failed to build: {e}"))
+                return error(id, ErrorKind::BadRequest, format!("source failed to build: {e}"))
             }
         },
     };
-    let cfg = match request_config(req) {
-        Ok(cfg) => cfg,
-        Err(response) => return response,
+    let mut session = Session::new(cfg).metrics(metrics).profile(profile).loops(loops);
+    if let Some(cache) = &ctx.cache {
+        session = session.cache(cache);
+    }
+    let result = match key {
+        Some(key) => session.run_missed(AnalysisJob { image, input, label: "" }, key),
+        None => session.run_one(image, input),
     };
-
-    let session =
-        session(cfg, ctx).metrics(req.want_metrics).profile(req.want_profile).loops(req.want_loops);
-    respond(req, &cfg, session.run_one(image, input))
-}
-
-/// A session for one request, against the shared cache if there is one.
-fn session(cfg: AnalysisConfig, ctx: &Ctx) -> Session<'_> {
-    let session = Session::new(cfg);
-    match &ctx.cache {
-        Some(cache) => session.cache(cache),
-        None => session,
-    }
-}
-
-/// Encodes a run's outcome as the response to `req`.
-fn respond(
-    req: &Request,
-    cfg: &AnalysisConfig,
-    result: Result<InstrumentedReport, impl std::fmt::Display>,
-) -> Response {
     match result {
-        Ok(ir) => report_response(req, cfg, ir),
-        Err(e) => error(req.id, ErrorKind::AnalysisFailed, format!("simulation trapped: {e}")),
+        Ok(ir) => report_response(id, &cfg, ir),
+        Err(e) => error(id, ErrorKind::AnalysisFailed, format!("simulation trapped: {e}")),
     }
 }
 
-/// Encodes a report and the payloads `req` asked for.
-fn report_response(req: &Request, cfg: &AnalysisConfig, ir: InstrumentedReport) -> Response {
+/// Encodes a report and the payloads request `id` asked for.
+fn report_response(id: u64, cfg: &AnalysisConfig, ir: InstrumentedReport) -> Response {
     Response::Report(ReportPayload {
-        id: req.id,
+        id,
         cache: ir.cache,
         report: report_json(&ir.report),
         metrics: ir.metrics.map(|m| metrics_json(&m)),

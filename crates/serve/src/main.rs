@@ -7,6 +7,7 @@
 
 use std::path::PathBuf;
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -74,19 +75,14 @@ fn parse_args() -> Result<Args, String> {
         match flag.as_str() {
             "--socket" => socket = Some(PathBuf::from(value("--socket")?)),
             "--workers" => {
-                cfg.workers = value("--workers")?
-                    .parse()
-                    .map_err(|_| "--workers expects a positive integer".to_string())?;
+                cfg.workers =
+                    at_least_one("--workers", &value("--workers")?, "a positive integer")?;
             }
             "--queue" => {
-                cfg.queue = value("--queue")?
-                    .parse()
-                    .map_err(|_| "--queue expects a positive integer".to_string())?;
+                cfg.queue = at_least_one("--queue", &value("--queue")?, "a positive integer")?;
             }
             "--timeout-ms" => {
-                let ms: u64 = value("--timeout-ms")?
-                    .parse()
-                    .map_err(|_| "--timeout-ms expects milliseconds".to_string())?;
+                let ms = at_least_one("--timeout-ms", &value("--timeout-ms")?, "milliseconds")?;
                 cfg.timeout = Duration::from_millis(ms);
             }
             "--max-request-bytes" => {
@@ -98,13 +94,8 @@ fn parse_args() -> Result<Args, String> {
             "--telemetry-out" => telemetry_out = Some(PathBuf::from(value("--telemetry-out")?)),
             "--heartbeat-out" => heartbeat_out = Some(PathBuf::from(value("--heartbeat-out")?)),
             "--heartbeat-ms" => {
-                heartbeat_ms = value("--heartbeat-ms")?
-                    .parse()
-                    .map_err(|_| "--heartbeat-ms expects milliseconds".to_string())?;
-                // A zero period would write heartbeats in a busy loop.
-                if heartbeat_ms == 0 {
-                    return Err("--heartbeat-ms must be at least 1".to_string());
-                }
+                heartbeat_ms =
+                    at_least_one("--heartbeat-ms", &value("--heartbeat-ms")?, "milliseconds")?;
             }
             "--help" | "-h" => {
                 print!("{USAGE}");
@@ -118,6 +109,22 @@ fn parse_args() -> Result<Args, String> {
     };
     cfg.socket = socket;
     Ok(Args { cfg, telemetry_out, heartbeat_out, heartbeat_ms })
+}
+
+/// Parses the value of a count or period flag, refusing zero: a pool or
+/// queue of zero would quietly become one, a zero timeout would answer
+/// every queued request `timeout`, and a zero heartbeat period would
+/// write heartbeats in a busy loop.
+fn at_least_one<T: FromStr + PartialEq + From<u8>>(
+    flag: &str,
+    value: &str,
+    expects: &str,
+) -> Result<T, String> {
+    match value.parse() {
+        Ok(n) if n == T::from(0) => Err(format!("{flag} must be at least 1")),
+        Ok(n) => Ok(n),
+        Err(_) => Err(format!("{flag} expects {expects}")),
+    }
 }
 
 fn main() -> ExitCode {

@@ -230,46 +230,50 @@ fn refuses_a_live_socket_and_replaces_a_stale_one() {
     stop(server);
 }
 
-/// A zero heartbeat period would write heartbeats in a busy loop, so the
-/// daemon refuses it while parsing its flags, before it makes the
-/// heartbeat file or the socket. A daemon that starts anyway is killed
-/// after two seconds and fails the test.
+/// A zero heartbeat period would write heartbeats in a busy loop, a zero
+/// timeout would answer every queued request `timeout`, and a pool or
+/// queue of zero would quietly become one, so the daemon refuses each
+/// while parsing its flags, before it makes the heartbeat file or the
+/// socket. A daemon that starts anyway is killed after two seconds and
+/// fails the test.
 #[test]
 fn zero_heartbeat_period_is_refused_before_start() {
     use std::io::Read;
     use std::process::{Command, Stdio};
 
-    let dir = scratch_dir("svc-hb0");
-    let (socket, beats) = (dir.join("serve.sock"), dir.join("hb.jsonl"));
-    let mut daemon = Command::new(env!("CARGO_BIN_EXE_instrep-serve"))
-        .arg("--socket")
-        .arg(&socket)
-        .args(["--heartbeat-ms", "0", "--heartbeat-out"])
-        .arg(&beats)
-        .stdout(Stdio::null())
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("spawn instrep-serve");
-    let deadline = Instant::now() + Duration::from_secs(2);
-    let status = loop {
-        if let Some(status) = daemon.try_wait().unwrap() {
-            break Some(status);
-        }
-        if Instant::now() >= deadline {
-            daemon.kill().ok();
-            daemon.wait().ok();
-            break None;
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    };
-    let mut err = String::new();
-    daemon.stderr.take().unwrap().read_to_string(&mut err).unwrap();
-    let made = (beats.exists(), socket.exists());
-    std::fs::remove_dir_all(&dir).ok();
-    // `None`: still running after two seconds.
-    assert_eq!(status.map(|s| s.code()), Some(Some(2)), "stderr: {err}");
-    assert!(err.contains("--heartbeat-ms must be at least 1"), "stderr: {err}");
-    assert_eq!(made, (false, false), "(heartbeat file, socket) created");
+    for flag in ["--heartbeat-ms", "--workers", "--queue", "--timeout-ms"] {
+        let dir = scratch_dir("svc-zero");
+        let (socket, beats) = (dir.join("serve.sock"), dir.join("hb.jsonl"));
+        let mut daemon = Command::new(env!("CARGO_BIN_EXE_instrep-serve"))
+            .arg("--socket")
+            .arg(&socket)
+            .args([flag, "0", "--heartbeat-out"])
+            .arg(&beats)
+            .stdout(Stdio::null())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawn instrep-serve");
+        let deadline = Instant::now() + Duration::from_secs(2);
+        let status = loop {
+            if let Some(status) = daemon.try_wait().unwrap() {
+                break Some(status);
+            }
+            if Instant::now() >= deadline {
+                daemon.kill().ok();
+                daemon.wait().ok();
+                break None;
+            }
+            std::thread::sleep(Duration::from_millis(10));
+        };
+        let mut err = String::new();
+        daemon.stderr.take().unwrap().read_to_string(&mut err).unwrap();
+        let made = (beats.exists(), socket.exists());
+        std::fs::remove_dir_all(&dir).ok();
+        // `None`: still running after two seconds.
+        assert_eq!(status.map(|s| s.code()), Some(Some(2)), "{flag} 0: stderr: {err}");
+        assert!(err.contains(&format!("{flag} must be at least 1")), "stderr: {err}");
+        assert_eq!(made, (false, false), "{flag} 0: (heartbeat file, socket) created");
+    }
 }
 
 #[test]
@@ -370,13 +374,20 @@ fn full_queue_answers_overloaded_with_retry_hint() {
         }
         other => panic!("expected overloaded, got {other:?}"),
     }
+    // A request that can never run is refused on its connection thread,
+    // not told to retry for a slot it does not need.
+    match Client::connect(&socket).roundtrip(&Request::workload(4, "nope")) {
+        Response::Error(e) => assert_eq!((e.id, e.kind), (4, ErrorKind::BadRequest)),
+        other => panic!("expected bad_request, got {other:?}"),
+    }
 
     // Backpressure rejected the overflow; it did not break admitted work.
     assert!(matches!(a.join().unwrap(), Response::Report(_)));
     assert!(matches!(b.join().unwrap(), Response::Report(_)));
     stop(server);
     let text = render_prometheus(&registry.snapshot());
-    assert!(text.contains("instrep_serve_rejected_overload 1"), "{text}");
+    assert!(text.contains("instrep_serve_rejected_overload 1\n"), "{text}");
+    assert!(text.contains("instrep_serve_bad_requests 1\n"), "{text}");
     assert!(text.contains("instrep_serve_responses_ok 2"), "{text}");
 }
 

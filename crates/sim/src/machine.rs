@@ -185,11 +185,6 @@ impl Machine {
         &self.mem
     }
 
-    /// Mutable access to memory (for test setup).
-    pub fn mem_mut(&mut self) -> &mut Memory {
-        &mut self.mem
-    }
-
     /// The memory [`Region`] of an address under the current heap break.
     pub fn region_of(&self, addr: u32) -> Region {
         abi::region_of(addr, self.data_end, self.brk)

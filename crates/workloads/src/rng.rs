@@ -60,11 +60,6 @@ impl Rng {
         result
     }
 
-    /// Next 32 uniformly random bits (upper half of [`Rng::next_u64`]).
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// Uniform sample from a half-open or inclusive integer range.
     ///
     /// # Panics

@@ -371,6 +371,10 @@ assert r["ok"] is True and r["cache"] == "hit", r
 r = ask(SLOW % 3)
 assert r["ok"] is False and r["error"] == "overloaded", r
 assert r.get("retry_after_ms", 0) > 0, r
+# An unknown workload can never run: it is refused on its connection,
+# not told to retry for a queue slot (the overload count stays 1).
+r = ask(json.dumps({"schema_version": 1, "id": 4, "workload": "nope"}))
+assert r["ok"] is False and r["error"] == "bad_request", r
 for s, rid in ((a, 1), (b, 2)):
     r = read_reply(s)
     assert r["ok"] is True and r["id"] == rid, r

@@ -4,13 +4,13 @@
 //! who is high, who is low, what dominates.
 //!
 //! Runs every SPEC-analog workload once at test scale and checks each
-//! section of the paper against the shared reports; Table 1's ordering
-//! is also checked on the published `--scale small` summary
-//! (`results/small_summary.csv`). The loop-diversity kernels (`interp`,
-//! `stencil` — DESIGN.md §16.3) are excluded: they deliberately sit
-//! outside the paper's envelope (flat dispatch or call-free nest code
-//! with no prologue/epilogue traffic), and their contract lives in the
-//! loop-profiler suites instead.
+//! section of the paper against the shared reports; Tables 1, 4 and 7
+//! are also checked on the published `--scale small` run
+//! (`results/small_summary.csv`, `results/small_breakdowns.csv`). The
+//! loop-diversity kernels (`interp`, `stencil` — DESIGN.md §16.3) are
+//! excluded: they deliberately sit outside the paper's envelope (flat
+//! dispatch or call-free nest code with no prologue/epilogue traffic),
+//! and their contract lives in the loop-profiler suites instead.
 
 use std::collections::HashMap;
 use std::sync::OnceLock;
@@ -83,38 +83,88 @@ fn table1_most_instructions_repeat() {
     );
 }
 
+/// The SPEC-analog rows of a published `--scale small` CSV in
+/// `results/` (`scripts/ci.sh` keeps the directory equal to a fresh
+/// run), each mapping a column name to its field.
+fn small_rows(file: &str) -> Vec<HashMap<String, String>> {
+    let path = format!("{}/results/{file}", env!("CARGO_MANIFEST_DIR"));
+    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+    let mut lines = text.lines();
+    let header: Vec<&str> = lines.next().expect("a header line").split(',').collect();
+    let analogs: Vec<&str> = spec_analogs().map(|w| w.name).collect();
+    lines
+        .map(|line| header.iter().map(|h| h.to_string()).zip(line.split(',').map(String::from)))
+        .map(|fields| fields.collect::<HashMap<_, _>>())
+        .filter(|row| analogs.contains(&row["bench"].as_str()))
+        .collect()
+}
+
+/// A numeric field of a [`small_rows`] row.
+fn num(row: &HashMap<String, String>, column: &str) -> f64 {
+    row[column].parse().unwrap_or_else(|_| panic!("{column} is not numeric: {row:?}"))
+}
+
+/// Numeric columns of `results/small_summary.csv`, by analog.
+fn small_summary<const N: usize>(columns: [&str; N]) -> HashMap<String, [f64; N]> {
+    let rows: HashMap<String, [f64; N]> = small_rows("small_summary.csv")
+        .into_iter()
+        .map(|row| (row["bench"].clone(), columns.map(|c| num(&row, c))))
+        .collect();
+    assert_eq!(rows.len(), spec_analogs().count(), "one row per SPEC analog: {rows:?}");
+    rows
+}
+
 #[test]
 fn table1_small_scale_shapes() {
     // EXPERIMENTS.md's Table 1 claims, read from the published
-    // `--scale small` run (`scripts/ci.sh` keeps `results/` equal to a
-    // fresh one): compress is the lowest of the eight analogs, li and go
-    // sit above m88ksim, and every analog's executed statics mostly
-    // repeat.
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/results/small_summary.csv");
-    let text = std::fs::read_to_string(path).expect("results/small_summary.csv is readable");
-    let mut lines = text.lines();
-    let header: Vec<&str> = lines.next().expect("a header line").split(',').collect();
-    let col = |name: &str| header.iter().position(|h| *h == name).expect("summary column");
-    let (bench, repetition, executed, repeated) =
-        (col("bench"), col("repetition_rate"), col("static_executed"), col("static_repeated"));
-    let analogs: Vec<&str> = spec_analogs().map(|w| w.name).collect();
-    let mut rows = HashMap::new();
-    for line in lines {
-        let field: Vec<&str> = line.split(',').collect();
-        let num = |i: usize| field[i].parse::<f64>().expect("numeric field");
-        if analogs.contains(&field[bench]) {
-            rows.insert(field[bench], (num(repetition), num(repeated) / num(executed)));
-        }
-    }
-    assert_eq!(rows.len(), analogs.len(), "one row per SPEC analog: {rows:?}");
-    let rate = |name: &str| rows[name].0;
-    for (name, &(r, statics)) in &rows {
-        assert!(*name == "compress" || r > rate("compress"), "{name} ({r}) is below compress");
+    // `--scale small` run: compress is the lowest of the eight analogs,
+    // li and go sit above m88ksim, and every analog's executed statics
+    // mostly repeat.
+    let rows = small_summary(["repetition_rate", "static_repeated", "static_executed"]);
+    let rate = |name: &str| rows[name][0];
+    for (name, &[r, repeated, executed]) in &rows {
+        let statics = repeated / executed;
+        assert!(name == "compress" || r > rate("compress"), "{name} ({r}) is below compress");
         assert!(statics > 0.5, "{name}: {statics:.3} of executed statics repeat");
     }
     for name in ["li", "go"] {
         assert!(rate(name) > rate("m88ksim"), "{name} is not above m88ksim: {rows:?}");
     }
+}
+
+#[test]
+fn table4_small_scale_shapes() {
+    // EXPERIMENTS.md's Table 4 claims at `--scale small`: 78.0%
+    // (compress) to 99.9% (m88ksim) of calls repeat all their
+    // arguments, and 0.0-4.6% repeat none.
+    let rows = small_summary(["all_arg_rate", "no_arg_rate"]);
+    let all = |name: &str| rows[name][0];
+    for (name, &[all_arg, no_arg]) in &rows {
+        assert!(all_arg >= 0.75, "{name}: all-arg rate {all_arg}");
+        assert!(no_arg <= 0.05, "{name}: no-arg rate {no_arg}");
+        assert!(name == "compress" || all_arg > all("compress"), "{name} is below compress");
+        assert!(name == "m88ksim" || all_arg < all("m88ksim"), "{name} is above m88ksim");
+    }
+}
+
+#[test]
+fn table7_small_scale_shapes() {
+    // EXPERIMENTS.md's Table 7 claims at `--scale small`: glb_addr_calc
+    // and return repeat 99.9-100% of the time in every analog, and the
+    // prologue 95.5-99.9%.
+    let floors = [("glb_addr_calc", 0.999), ("return", 0.999), ("prologue", 0.95)];
+    let mut checked = 0;
+    for row in small_rows("small_breakdowns.csv") {
+        let Some(&(_, floor)) = floors.iter().find(|(cat, _)| row["category"] == *cat) else {
+            continue;
+        };
+        if row["analysis"] == "local" && row["metric"] == "propensity" {
+            let p = num(&row, "value");
+            assert!(p >= floor, "{}: {} propensity {p}", row["bench"], row["category"]);
+            checked += 1;
+        }
+    }
+    assert_eq!(checked, floors.len() * spec_analogs().count(), "one per category and analog");
 }
 
 #[test]
