@@ -10,6 +10,8 @@
 use instrep_isa::Insn;
 use instrep_sim::Event;
 
+use crate::interval::frac;
+
 /// Coarse instruction classes for the breakdown.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
@@ -89,20 +91,12 @@ impl ClassCounts {
 
     /// Share of all dynamic instructions in `class`.
     pub fn overall_share(&self, class: InsnClass) -> f64 {
-        ratio(self.overall[class as usize], self.total())
+        frac(self.overall[class as usize], self.total())
     }
 
     /// Fraction of the class's instructions that repeated.
     pub fn propensity(&self, class: InsnClass) -> f64 {
-        ratio(self.repeated[class as usize], self.overall[class as usize])
-    }
-}
-
-fn ratio(num: u64, den: u64) -> f64 {
-    if den == 0 {
-        0.0
-    } else {
-        num as f64 / den as f64
+        frac(self.repeated[class as usize], self.overall[class as usize])
     }
 }
 

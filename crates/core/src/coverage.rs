@@ -4,6 +4,8 @@
 //! sorting items by contribution (descending), what fraction of the items
 //! accounts for what fraction of the total?
 
+use crate::interval::frac;
+
 /// A cumulative coverage curve over a set of weighted items.
 ///
 /// The curve is held as `(weight, count)` runs: a curve over 100,000
@@ -134,17 +136,32 @@ impl Coverage {
         }
         1.0
     }
+}
 
-    /// Samples the curve at `n` evenly spaced item fractions, returning
-    /// `(item_fraction, weight_fraction)` points suitable for plotting.
-    pub fn points(&self, n: usize) -> Vec<(f64, f64)> {
-        (1..=n)
-            .map(|i| {
-                let x = i as f64 / n as f64;
-                (x, self.coverage_at(x))
-            })
-            .collect()
+/// The top-`k` curve of Figures 5 and 6 over frequency tables (argument
+/// tuples per function, values per load): for each `k` in `1..=max_k`,
+/// the share of all repeats, every occurrence past an entry's first,
+/// that fall on each table's `k` most frequent entries. Each table is
+/// sorted once and its prefix sums added to every `k`.
+pub(crate) fn top_k_coverage<T>(tables: impl Iterator<Item = T>, max_k: usize) -> Vec<f64>
+where
+    T: Iterator<Item = u64>,
+{
+    let mut covered = vec![0u64; max_k];
+    let mut total = 0;
+    let mut repeats = Vec::new();
+    for table in tables {
+        repeats.clear();
+        repeats.extend(table.map(|count| count.saturating_sub(1)));
+        repeats.sort_unstable_by(|a, b| b.cmp(a));
+        let mut prefix = 0;
+        for (k, sum) in covered.iter_mut().enumerate() {
+            prefix += repeats.get(k).copied().unwrap_or(0);
+            *sum += prefix;
+        }
+        total += repeats.iter().sum::<u64>();
     }
+    covered.into_iter().map(|c| frac(c, total)).collect()
 }
 
 impl FromIterator<u64> for Coverage {
@@ -187,15 +204,11 @@ mod tests {
     }
 
     #[test]
-    fn points_are_monotone() {
+    fn coverage_is_monotone() {
         let c: Coverage = [3u64, 1, 4, 1, 5, 9, 2, 6].into_iter().collect();
-        let pts = c.points(8);
-        assert_eq!(pts.len(), 8);
-        for w in pts.windows(2) {
-            assert!(w[0].1 <= w[1].1);
-            assert!(w[0].0 < w[1].0);
-        }
-        assert_eq!(pts.last().unwrap().1, 1.0);
+        let pts: Vec<f64> = (1..=8).map(|i| c.coverage_at(f64::from(i) / 8.0)).collect();
+        assert!(pts.windows(2).all(|w| w[0] <= w[1]));
+        assert_eq!(pts[7], 1.0);
     }
 
     #[test]

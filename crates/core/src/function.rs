@@ -15,7 +15,9 @@ use instrep_asm::Image;
 use instrep_isa::abi::Region;
 use instrep_sim::{CtrlEffect, Event};
 
+use crate::coverage::top_k_coverage;
 use crate::fxhash::{FxHashMap, FxHashSet};
+use crate::interval::frac;
 
 /// Cap on distinct argument tuples (and per-argument values) tracked per
 /// function; beyond this, new tuples are classified non-repeated and not
@@ -49,17 +51,6 @@ pub struct FuncStats {
 }
 
 impl FuncStats {
-    /// Fraction of this function's *repeated-tuple* calls covered when
-    /// the function is specialized for its `k` most frequent argument
-    /// tuples (the per-function ingredient of Figure 5).
-    pub fn top_k_tuple_coverage(&self, k: usize) -> (u64, u64) {
-        let mut counts: Vec<u64> = self.tuples.values().copied().collect();
-        counts.sort_unstable_by(|a, b| b.cmp(a));
-        let covered: u64 = counts.iter().take(k).map(|c| c.saturating_sub(1)).sum();
-        let total: u64 = counts.iter().map(|c| c.saturating_sub(1)).sum();
-        (covered, total)
-    }
-
     /// Number of distinct argument tuples observed (capped).
     pub fn distinct_tuples(&self) -> usize {
         self.tuples.len()
@@ -238,18 +229,18 @@ impl FunctionAnalysis {
 
     /// Fraction of dynamic calls with all arguments repeated (Table 4).
     pub fn all_arg_rate(&self) -> f64 {
-        ratio(self.funcs.iter().map(|f| f.all_args_repeated).sum(), self.total_calls)
+        frac(self.funcs.iter().map(|f| f.all_args_repeated).sum(), self.total_calls)
     }
 
     /// Fraction of dynamic calls with no argument repeated (Table 4).
     pub fn no_arg_rate(&self) -> f64 {
-        ratio(self.funcs.iter().map(|f| f.no_args_repeated).sum(), self.total_calls)
+        frac(self.funcs.iter().map(|f| f.no_args_repeated).sum(), self.total_calls)
     }
 
     /// Fraction of dynamic calls free of side effects and implicit
     /// inputs (Table 8, column 2).
     pub fn pure_rate(&self) -> f64 {
-        ratio(self.funcs.iter().map(|f| f.pure_calls).sum(), self.total_calls)
+        frac(self.funcs.iter().map(|f| f.pure_calls).sum(), self.total_calls)
     }
 
     /// Fraction of all-argument-repeated calls that were pure (Table 8,
@@ -257,33 +248,14 @@ impl FunctionAnalysis {
     pub fn pure_all_arg_rate(&self) -> f64 {
         let pure: u64 = self.funcs.iter().map(|f| f.pure_all_arg_calls).sum();
         let all: u64 = self.funcs.iter().map(|f| f.all_args_repeated).sum();
-        ratio(pure, all)
+        frac(pure, all)
     }
 
     /// Aggregate Figure 5 curve: fraction of all-argument repetition
     /// covered by specializing every function for its `k` most frequent
     /// argument tuples, for `k` in `1..=max_k`.
     pub fn top_argset_coverage(&self, max_k: usize) -> Vec<f64> {
-        (1..=max_k)
-            .map(|k| {
-                let mut covered = 0u64;
-                let mut total = 0u64;
-                for f in &self.funcs {
-                    let (c, t) = f.top_k_tuple_coverage(k);
-                    covered += c;
-                    total += t;
-                }
-                ratio(covered, total)
-            })
-            .collect()
-    }
-}
-
-fn ratio(num: u64, den: u64) -> f64 {
-    if den == 0 {
-        0.0
-    } else {
-        num as f64 / den as f64
+        top_k_coverage(self.funcs.iter().map(|f| f.tuples.values().copied()), max_k)
     }
 }
 

@@ -16,6 +16,7 @@ use instrep_isa::abi::Syscall;
 use instrep_isa::{decode, Insn, Reg};
 use instrep_sim::{CtrlEffect, Event};
 
+use crate::interval::frac;
 use crate::shadow::ShadowPages;
 
 /// Source category of a value or instruction, ordered by supersede
@@ -77,27 +78,19 @@ impl GlobalCounts {
 
     /// Fraction of all counted instructions in `tag` (Table 3 *Overall*).
     pub fn overall_share(&self, tag: GlobalTag) -> f64 {
-        ratio(self.overall[tag as usize], self.total())
+        frac(self.overall[tag as usize], self.total())
     }
 
     /// Fraction of all repeated instructions in `tag` (Table 3
     /// *Repeated*).
     pub fn repeated_share(&self, tag: GlobalTag) -> f64 {
-        ratio(self.repeated[tag as usize], self.repeated.iter().sum())
+        frac(self.repeated[tag as usize], self.repeated.iter().sum())
     }
 
     /// Fraction of instructions in `tag` that repeated (Table 3
     /// *Propensity*).
     pub fn propensity(&self, tag: GlobalTag) -> f64 {
-        ratio(self.repeated[tag as usize], self.overall[tag as usize])
-    }
-}
-
-fn ratio(num: u64, den: u64) -> f64 {
-    if den == 0 {
-        0.0
-    } else {
-        num as f64 / den as f64
+        frac(self.repeated[tag as usize], self.overall[tag as usize])
     }
 }
 
@@ -114,8 +107,6 @@ const GM_UNINIT_BASE: u8 = 1 << 1;
 /// The destination receives `Internal` (link registers) rather than the
 /// instruction's input tag.
 const GM_DEF_INTERNAL: u8 = 1 << 2;
-/// Slot decoded successfully; unset slots recompute from `Event::insn`.
-const GM_VALID: u8 = 1 << 3;
 
 /// Per-static-instruction tagging rules, precomputed at construction so
 /// the per-event path indexes a flat table instead of re-matching the
@@ -132,13 +123,15 @@ struct GMeta {
 }
 
 impl GMeta {
-    const INVALID: GMeta = GMeta { s1: NO_REG, s2: NO_REG, def: NO_REG, flags: 0 };
+    /// The row of an undecodable word: reads and writes nothing. No event
+    /// comes from one, as `Machine::try_new` refuses such an image.
+    const INERT: GMeta = GMeta { s1: NO_REG, s2: NO_REG, def: NO_REG, flags: 0 };
 
     /// Derives the tagging rules for one instruction. This is the single
     /// source of truth for `observe`'s categorization; the precomputed
     /// table is just this function applied to the decoded text segment.
     fn of(insn: &Insn) -> GMeta {
-        let mut m = GMeta { s1: NO_REG, s2: NO_REG, def: NO_REG, flags: GM_VALID };
+        let mut m = GMeta { s1: NO_REG, s2: NO_REG, def: NO_REG, flags: 0 };
         if insn.is_store() {
             m.flags |= GM_STORE;
             if let Insn::Mem { rt, .. } = *insn {
@@ -175,8 +168,8 @@ impl GMeta {
 #[derive(Debug)]
 pub struct GlobalAnalysis {
     regs: [GlobalTag; 32],
-    /// Precomputed tagging rules indexed by `Event::index`; events past
-    /// the table (or on undecodable slots) fall back to [`GMeta::of`].
+    /// Precomputed tagging rules, one row per text word, indexed by
+    /// `Event::index`.
     meta: Vec<GMeta>,
     /// Shadow tags for memory words that have been written (or read from
     /// external input); absent words fall back to the static image
@@ -201,7 +194,7 @@ impl GlobalAnalysis {
         let meta = image
             .text
             .iter()
-            .map(|&w| decode(w).map_or(GMeta::INVALID, |insn| GMeta::of(&insn)))
+            .map(|&w| decode(w).map_or(GMeta::INERT, |insn| GMeta::of(&insn)))
             .collect();
         GlobalAnalysis {
             regs,
@@ -249,12 +242,14 @@ impl GlobalAnalysis {
     }
 
     /// Observes one retired instruction. Tag state always updates;
-    /// statistics only when `counting`. Invalid metadata rows
-    /// (undecodable slots, out-of-table indices) fall back to
-    /// recomputing from the event's instruction.
+    /// statistics only when `counting`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ev.index` is out of range for the image this analysis
+    /// was built for.
     pub fn observe(&mut self, ev: &Event, repeated: bool, counting: bool) {
-        let m = self.meta.get(ev.index as usize).copied().unwrap_or(GMeta::INVALID);
-        let m = if m.flags & GM_VALID != 0 { m } else { GMeta::of(&ev.insn) };
+        let m = self.meta[ev.index as usize];
 
         // 1. Input tag under the supersede rule. Stores are categorized
         // by the provenance of the stored value alone (the paper's
@@ -357,66 +352,70 @@ impl GlobalAnalysis {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use instrep_isa::abi;
+    use instrep_isa::{abi, encode};
     use instrep_isa::{AluOp, ImmOp, MemOp, MemWidth};
     use instrep_sim::MemEffect;
 
+    fn load(rt: Reg, base: Reg) -> Insn {
+        Insn::Mem { op: MemOp::Load(MemWidth::Word), rt, base, off: 0 }
+    }
+
+    fn store(rt: Reg, base: Reg) -> Insn {
+        Insn::Mem { op: MemOp::Store(MemWidth::Word), rt, base, off: 0 }
+    }
+
+    /// Every instruction the tests feed, in text order: each event
+    /// carries the index of its instruction here.
+    fn text() -> [Insn; 9] {
+        [
+            Insn::imm(ImmOp::Addi, Reg::T0, Reg::ZERO, 5),
+            Insn::alu(AluOp::Add, Reg::T1, Reg::T0, Reg::ZERO),
+            Insn::alu(AluOp::Add, Reg::T1, Reg::S4, Reg::S5),
+            Insn::alu(AluOp::Add, Reg::T2, Reg::T0, Reg::T1),
+            load(Reg::T0, Reg::GP),
+            load(Reg::T1, Reg::GP),
+            store(Reg::ZERO, Reg::GP),
+            store(Reg::S3, Reg::SP),
+            Insn::Syscall,
+        ]
+    }
+
+    /// The test text, with `init_ranges` as its initialized data.
+    fn image(init_ranges: Vec<std::ops::Range<u32>>) -> Image {
+        Image { text: text().iter().map(encode).collect(), init_ranges, ..Image::default() }
+    }
+
     fn image_with_init() -> Image {
-        Image { init_ranges: vec![abi::DATA_BASE..abi::DATA_BASE + 8; 1], ..Image::default() }
+        image(vec![abi::DATA_BASE..abi::DATA_BASE + 8; 1])
+    }
+
+    /// An event of `insn`, which must be in the test text.
+    fn event(insn: Insn, in1: u32, in2: u32, out: Option<u32>) -> Event {
+        let index = text().iter().position(|&i| i == insn).expect("instruction in the test text");
+        let index = index as u32;
+        Event { pc: abi::TEXT_BASE + 4 * index, index, insn, in1, in2, out, mem: None, ctrl: None }
     }
 
     fn alu_event(rd: Reg, rs: Reg, rt: Reg) -> Event {
-        Event {
-            pc: abi::TEXT_BASE,
-            index: 0,
-            insn: Insn::alu(AluOp::Add, rd, rs, rt),
-            in1: 0,
-            in2: 0,
-            out: Some(0),
-            mem: None,
-            ctrl: None,
-        }
+        event(Insn::alu(AluOp::Add, rd, rs, rt), 0, 0, Some(0))
     }
 
     fn load_event(rt: Reg, base: Reg, addr: u32) -> Event {
-        Event {
-            pc: abi::TEXT_BASE,
-            index: 0,
-            insn: Insn::Mem { op: MemOp::Load(MemWidth::Word), rt, base, off: 0 },
-            in1: addr,
-            in2: 0,
-            out: Some(7),
-            mem: Some(MemEffect { addr, width: MemWidth::Word, value: 7, is_load: true }),
-            ctrl: None,
-        }
+        let mut e = event(load(rt, base), addr, 0, Some(7));
+        e.mem = Some(MemEffect { addr, width: MemWidth::Word, value: 7, is_load: true });
+        e
     }
 
     fn store_event(rt: Reg, base: Reg, addr: u32) -> Event {
-        Event {
-            pc: abi::TEXT_BASE,
-            index: 0,
-            insn: Insn::Mem { op: MemOp::Store(MemWidth::Word), rt, base, off: 0 },
-            in1: addr,
-            in2: 9,
-            out: None,
-            mem: Some(MemEffect { addr, width: MemWidth::Word, value: 9, is_load: false }),
-            ctrl: None,
-        }
+        let mut e = event(store(rt, base), addr, 9, None);
+        e.mem = Some(MemEffect { addr, width: MemWidth::Word, value: 9, is_load: false });
+        e
     }
 
     #[test]
     fn immediates_are_internal() {
         let mut g = GlobalAnalysis::new(&image_with_init());
-        let li = Event {
-            pc: abi::TEXT_BASE,
-            index: 0,
-            insn: Insn::imm(ImmOp::Addi, Reg::T0, Reg::ZERO, 5),
-            in1: 0,
-            in2: 0,
-            out: Some(5),
-            mem: None,
-            ctrl: None,
-        };
+        let li = event(Insn::imm(ImmOp::Addi, Reg::T0, Reg::ZERO, 5), 0, 0, Some(5));
         g.observe(&li, false, true);
         assert_eq!(g.counts().overall[GlobalTag::Internal as usize], 1);
         // t0 now carries Internal; an op on it stays Internal.
@@ -454,16 +453,8 @@ mod tests {
     fn external_input_supersedes() {
         let mut g = GlobalAnalysis::new(&image_with_init());
         let buf = abi::DATA_BASE + 32;
-        let syscall = Event {
-            pc: abi::TEXT_BASE,
-            index: 0,
-            insn: Insn::Syscall,
-            in1: 0,
-            in2: 0,
-            out: None,
-            mem: None,
-            ctrl: Some(CtrlEffect::Syscall { call: Syscall::Read, a: [0, buf, 8], ret: 8 }),
-        };
+        let mut syscall = event(Insn::Syscall, 0, 0, None);
+        syscall.ctrl = Some(CtrlEffect::Syscall { call: Syscall::Read, a: [0, buf, 8], ret: 8 });
         g.observe(&syscall, false, true);
         g.observe(&load_event(Reg::T0, Reg::GP, buf), false, true);
         assert_eq!(g.counts().overall[GlobalTag::External as usize], 1);
@@ -475,7 +466,7 @@ mod tests {
 
     #[test]
     fn uninit_register_saves() {
-        let mut g = GlobalAnalysis::new(&Image::default());
+        let mut g = GlobalAnalysis::new(&image(Vec::new()));
         // Saving a never-written callee-saved register.
         g.observe(&store_event(Reg::S3, Reg::SP, abi::STACK_TOP - 8), false, true);
         assert_eq!(g.counts().overall[GlobalTag::Uninit as usize], 1);

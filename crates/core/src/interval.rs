@@ -5,8 +5,9 @@
 //! instructions of the measurement phase and records, per window, the
 //! repetition fraction, the reuse-buffer hit rate, the tracker's
 //! instance-buffer occupancy, and how many new unique instances were
-//! buffered. Sampling is boundary-only: per event the pipeline pays one
-//! counter increment and one comparison; gauges are read only when a
+//! buffered. Sampling is boundary-only: the pipeline ends each measure
+//! slice at the next window boundary and advances the sampler once per
+//! slice, so it costs nothing per event; gauges are read only when a
 //! window closes, so the analyses' output is byte-identical with the
 //! sampler on or off.
 //!
@@ -68,10 +69,10 @@ pub(crate) fn frac(part: u64, whole: u64) -> f64 {
 /// Accumulates [`IntervalWindow`]s over one workload's measurement
 /// phase.
 ///
-/// The pipeline drives it with [`IntervalSampler::tick`] once per
-/// retired instruction and flushes gauges at the boundaries `tick`
-/// reports; [`IntervalSampler::finish`] closes a trailing partial
-/// window, if any.
+/// A caller counts retired instructions with [`IntervalSampler::tick`]
+/// (the pipeline advances it by whole slices) and flushes gauges at the
+/// boundaries it reports; [`IntervalSampler::finish`] closes a trailing
+/// partial window, if any.
 ///
 /// # Examples
 ///
@@ -116,17 +117,26 @@ impl IntervalSampler {
         }
     }
 
-    /// The configured window size.
-    pub fn interval(&self) -> u64 {
-        self.interval
-    }
-
     /// Counts one retired instruction; returns `true` when it completes
     /// a window (the caller must then call [`IntervalSampler::flush`]).
     #[inline]
     pub fn tick(&mut self) -> bool {
-        self.in_window += 1;
-        self.measured += 1;
+        self.advance(1)
+    }
+
+    /// Instructions left before the open window closes.
+    pub(crate) fn until_boundary(&self) -> u64 {
+        self.interval - self.in_window
+    }
+
+    /// Counts `n` retired instructions, at most
+    /// [`until_boundary`](Self::until_boundary); returns `true` when
+    /// they complete a window, as [`IntervalSampler::tick`] does.
+    #[inline]
+    pub(crate) fn advance(&mut self, n: u64) -> bool {
+        debug_assert!(n <= self.until_boundary(), "a slice crossed a window boundary");
+        self.in_window += n;
+        self.measured += n;
         self.in_window == self.interval
     }
 
@@ -266,7 +276,7 @@ mod tests {
     #[test]
     fn zero_interval_clamps_to_one() {
         let mut s = IntervalSampler::new(0);
-        assert_eq!(s.interval(), 1);
+        assert_eq!(s.until_boundary(), 1);
         assert!(s.tick());
     }
 

@@ -26,7 +26,9 @@ use instrep_isa::abi::{self, Region};
 use instrep_isa::{decode, ImmOp, Insn, Reg};
 use instrep_sim::{CtrlEffect, Event};
 
+use crate::coverage::top_k_coverage;
 use crate::fxhash::FxHashMap;
+use crate::interval::frac;
 use crate::shadow::ShadowPages;
 
 /// The ten local-analysis categories, in the paper's row order.
@@ -138,25 +140,17 @@ impl LocalCounts {
 
     /// Table 5: category share of all dynamic instructions.
     pub fn overall_share(&self, cat: LocalCat) -> f64 {
-        ratio(self.overall[cat as usize], self.total())
+        frac(self.overall[cat as usize], self.total())
     }
 
     /// Table 6: category share of all repeated instructions.
     pub fn repeated_share(&self, cat: LocalCat) -> f64 {
-        ratio(self.repeated[cat as usize], self.repeated.iter().sum())
+        frac(self.repeated[cat as usize], self.repeated.iter().sum())
     }
 
     /// Table 7: fraction of the category's instructions that repeated.
     pub fn propensity(&self, cat: LocalCat) -> f64 {
-        ratio(self.repeated[cat as usize], self.overall[cat as usize])
-    }
-}
-
-fn ratio(num: u64, den: u64) -> f64 {
-    if den == 0 {
-        0.0
-    } else {
-        num as f64 / den as f64
+        frac(self.repeated[cat as usize], self.overall[cat as usize])
     }
 }
 
@@ -190,8 +184,6 @@ const LM_ALU: u16 = 1 << 8;
 const LM_SP_ARITH: u16 = 1 << 9;
 /// The destination receives the link address (function-internal).
 const LM_LINK: u16 = 1 << 10;
-/// Slot decoded successfully; unset slots recompute from `Event::insn`.
-const LM_VALID: u16 = 1 << 11;
 
 /// Per-static-instruction classification rules, precomputed at
 /// construction so the per-event path indexes a flat table instead of
@@ -210,13 +202,15 @@ struct LMeta {
 }
 
 impl LMeta {
-    const INVALID: LMeta = LMeta { s1: NO_REG, s2: NO_REG, def: NO_REG, rt: NO_REG, flags: 0 };
+    /// The row of an undecodable word: reads and writes nothing. No event
+    /// comes from one, as `Machine::try_new` refuses such an image.
+    const INERT: LMeta = LMeta { s1: NO_REG, s2: NO_REG, def: NO_REG, rt: NO_REG, flags: 0 };
 
     /// Derives the classification rules for one instruction. This is the
     /// single source of truth for `classify`/`propagate`; the
     /// precomputed table is this function applied to the text segment.
     fn of(insn: &Insn) -> LMeta {
-        let mut m = LMeta { s1: NO_REG, s2: NO_REG, def: NO_REG, rt: NO_REG, flags: LM_VALID };
+        let mut m = LMeta { s1: NO_REG, s2: NO_REG, def: NO_REG, rt: NO_REG, flags: 0 };
         match *insn {
             Insn::Jr { rs } if rs == Reg::RA => m.flags |= LM_RET,
             Insn::Imm { op: ImmOp::Addi, rt, rs, imm } if rt == Reg::SP && rs == Reg::SP => {
@@ -301,9 +295,8 @@ pub struct LocalAnalysis {
     /// Prologue+epilogue repetition per function (paper Table 9).
     pe_repeats: Vec<u64>,
     pe_total: u64,
-    /// Precomputed classification rules indexed by `Event::index`;
-    /// events past the table (or on undecodable slots) fall back to
-    /// [`LMeta::of`].
+    /// Precomputed classification rules, one row per text word, indexed
+    /// by `Event::index`.
     meta: Vec<LMeta>,
     /// Figure 6 value profiles, densely indexed by static load index.
     load_profiles: Vec<Option<Box<LoadProfile>>>,
@@ -340,7 +333,7 @@ impl LocalAnalysis {
             meta: image
                 .text
                 .iter()
-                .map(|&w| decode(w).map_or(LMeta::INVALID, |insn| LMeta::of(&insn)))
+                .map(|&w| decode(w).map_or(LMeta::INERT, |insn| LMeta::of(&insn)))
                 .collect(),
             load_profiles: Vec::new(),
             load_site_count: 0,
@@ -391,11 +384,14 @@ impl LocalAnalysis {
     /// Observes one retired instruction, classifying it and updating tag
     /// and frame state. `region` classifies a memory access's address;
     /// `repeated` is the tracker verdict; statistics accumulate only when
-    /// `counting`. Invalid metadata rows fall back to recomputing from
-    /// the event's instruction.
+    /// `counting`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ev.index` is out of range for the image this analysis
+    /// was built for.
     pub fn observe(&mut self, ev: &Event, repeated: bool, counting: bool, region: Option<Region>) {
-        let m = self.meta.get(ev.index as usize).copied().unwrap_or(LMeta::INVALID);
-        let m = &if m.flags & LM_VALID != 0 { m } else { LMeta::of(&ev.insn) };
+        let m = self.meta[ev.index as usize];
         let f = m.flags;
 
         // Shared sub-results: classification and propagation both need
@@ -425,7 +421,7 @@ impl LocalAnalysis {
             false
         };
 
-        let cat = self.classify(m, ev, region, reg_tag, loaded_tag, g);
+        let cat = self.classify(&m, ev, region, reg_tag, loaded_tag, g);
 
         // -- statistics --
         if counting {
@@ -463,7 +459,7 @@ impl LocalAnalysis {
         }
 
         // -- state propagation --
-        self.propagate(m, ev, region, reg_tag, loaded_tag, g);
+        self.propagate(&m, ev, region, reg_tag, loaded_tag, g);
     }
 
     /// Determines the instruction's category (task-based first, then
@@ -556,16 +552,11 @@ impl LocalAnalysis {
         let f = m.flags;
         // Result tag.
         if m.def != NO_REG {
+            // A load's result carries the loaded data's tag.
             let new_tag = if f & (LM_LINK | LM_LUI) != 0 {
                 SrcTag::FnInternal
-            } else if f & LM_LOAD != 0 {
-                // `loaded_tag` covers every genuine load event; the
-                // fallback recomputes for synthetic events whose meta
-                // and memory effect disagree (`data_tag` is pure).
-                loaded_tag
-                    .unwrap_or_else(|| self.data_tag(ev.mem.map(|e| e.addr).unwrap_or(0), region))
             } else {
-                reg_tag
+                loaded_tag.unwrap_or(reg_tag)
             };
 
             if m.def != 0 {
@@ -676,7 +667,7 @@ impl LocalAnalysis {
         rows.sort_by_key(|r| std::cmp::Reverse(r.2));
         rows.truncate(k);
         let covered: u64 = rows.iter().map(|r| r.2).sum();
-        (rows, ratio(covered, self.pe_total))
+        (rows, frac(covered, self.pe_total))
     }
 
     /// Figure 6: fraction of global+heap load repetition covered by each
@@ -684,19 +675,8 @@ impl LocalAnalysis {
     /// instance repeating value `v` counts as covered when `v` is among
     /// that static load's top `k` values.
     pub fn load_value_coverage(&self, max_k: usize) -> Vec<f64> {
-        (1..=max_k)
-            .map(|k| {
-                let mut covered = 0u64;
-                let mut total = 0u64;
-                for p in self.load_profiles.iter().flatten() {
-                    let mut counts: Vec<u64> = p.values.values().copied().collect();
-                    counts.sort_unstable_by(|a, b| b.cmp(a));
-                    covered += counts.iter().take(k).map(|c| c.saturating_sub(1)).sum::<u64>();
-                    total += counts.iter().map(|c| c.saturating_sub(1)).sum::<u64>();
-                }
-                ratio(covered, total)
-            })
-            .collect()
+        let profiles = self.load_profiles.iter().flatten();
+        top_k_coverage(profiles.map(|p| p.values.values().copied()), max_k)
     }
 }
 

@@ -1,12 +1,50 @@
 use super::*;
 use instrep_asm::FuncMeta;
-use instrep_isa::{AluOp, MemOp, MemWidth};
+use instrep_isa::{encode, AluOp, MemOp, MemWidth};
 use instrep_sim::MemEffect;
 
-const F_ENTRY: u32 = 0x40_0000;
+const F_ENTRY: u32 = abi::TEXT_BASE;
 
+fn mem(op: MemOp, rt: Reg, base: Reg) -> Insn {
+    Insn::Mem { op, rt, base, off: 0 }
+}
+
+/// Every instruction the tests feed, in text order: each event carries
+/// the index of its instruction here.
+fn text() -> Vec<Insn> {
+    let (load, store) = (MemOp::Load(MemWidth::Word), MemOp::Store(MemWidth::Word));
+    let add = |rd, rs| Insn::alu(AluOp::Add, rd, rs, Reg::ZERO);
+    vec![
+        Insn::Jump { link: true, target: F_ENTRY >> 2 },
+        Insn::Jr { rs: Reg::RA },
+        Insn::imm(ImmOp::Addi, Reg::SP, Reg::SP, -32),
+        Insn::imm(ImmOp::Addi, Reg::SP, Reg::SP, 32),
+        Insn::imm(ImmOp::Addi, Reg::T0, Reg::SP, 16),
+        Insn::imm(ImmOp::Addi, Reg::T0, Reg::GP, -32000),
+        Insn::imm(ImmOp::Ori, Reg::T1, Reg::T1, 0x24),
+        Insn::Lui { rt: Reg::T1, imm: 0x1001 },
+        Insn::Lui { rt: Reg::T2, imm: 0x0001 },
+        add(Reg::S0, Reg::ZERO),
+        add(Reg::T0, Reg::A0),
+        add(Reg::T0, Reg::V0),
+        add(Reg::T1, Reg::T0),
+        add(Reg::T1, Reg::A2),
+        mem(store, Reg::S0, Reg::SP),
+        mem(store, Reg::S1, Reg::SP),
+        mem(store, Reg::RA, Reg::SP),
+        mem(store, Reg::T0, Reg::SP),
+        mem(load, Reg::S0, Reg::SP),
+        mem(load, Reg::T0, Reg::SP),
+        mem(load, Reg::T3, Reg::SP),
+        mem(load, Reg::T0, Reg::T5),
+        mem(load, Reg::T2, Reg::T5),
+    ]
+}
+
+/// The test text, with functions `f` (arity 2) and `g` (arity 0).
 fn image() -> Image {
     Image {
+        text: text().iter().map(encode).collect(),
         funcs: vec![
             FuncMeta { name: "f".into(), entry: F_ENTRY, end: F_ENTRY + 0x40, arity: 2 },
             FuncMeta { name: "g".into(), entry: F_ENTRY + 0x40, end: F_ENTRY + 0x80, arity: 0 },
@@ -15,8 +53,11 @@ fn image() -> Image {
     }
 }
 
+/// An event of `insn`, which must be in the test text.
 fn ev(insn: Insn, in1: u32, in2: u32, out: Option<u32>) -> Event {
-    Event { pc: F_ENTRY, index: 0, insn, in1, in2, out, mem: None, ctrl: None }
+    let index = text().iter().position(|&i| i == insn).expect("instruction in the test text");
+    let index = index as u32;
+    Event { pc: abi::TEXT_BASE + 4 * index, index, insn, in1, in2, out, mem: None, ctrl: None }
 }
 
 fn call(target: u32, sp: u32) -> Event {
@@ -32,15 +73,13 @@ fn ret() -> Event {
 }
 
 fn store(rt: Reg, base: Reg, addr: u32, value: u32) -> Event {
-    let mut e =
-        ev(Insn::Mem { op: MemOp::Store(MemWidth::Word), rt, base, off: 0 }, addr, value, None);
+    let mut e = ev(mem(MemOp::Store(MemWidth::Word), rt, base), addr, value, None);
     e.mem = Some(MemEffect { addr, width: MemWidth::Word, value, is_load: false });
     e
 }
 
 fn load(rt: Reg, base: Reg, addr: u32, value: u32) -> Event {
-    let mut e =
-        ev(Insn::Mem { op: MemOp::Load(MemWidth::Word), rt, base, off: 0 }, addr, 0, Some(value));
+    let mut e = ev(mem(MemOp::Load(MemWidth::Word), rt, base), addr, 0, Some(value));
     e.mem = Some(MemEffect { addr, width: MemWidth::Word, value, is_load: true });
     e
 }
@@ -212,7 +251,7 @@ fn stack_args_tagged_argument() {
     // extend: call a function with arity > 4 via unknown entry.
     let img = Image {
         funcs: vec![FuncMeta { name: "big".into(), entry: F_ENTRY, end: F_ENTRY + 0x40, arity: 6 }],
-        ..Image::default()
+        ..image()
     };
     let mut la = LocalAnalysis::new(&img);
     let sp = abi::STACK_TOP - 64;

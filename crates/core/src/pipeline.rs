@@ -5,6 +5,9 @@
 //! During the skip phase all analyses still *propagate state* (dataflow
 //! tags, call stacks, shadow memory) but accumulate no statistics, so the
 //! measured window has correct provenance for every value it observes.
+//! Both phases are one loop over simulator slices: per event only the
+//! analyses (and the loop profiler, if attached) run, and the probes act
+//! once per slice or per phase.
 //!
 //! The public entry point is [`Session`](crate::Session) in
 //! `core::session`; this module holds the engine (`run_probed`) and the
@@ -29,7 +32,7 @@ use crate::metrics::{ns_between, WorkloadMetrics};
 use crate::predict::{PredictStats, StrideStats, ValuePredictors};
 use crate::profile::InstructionProfile;
 use crate::reuse::{ReuseBuffer, ReuseConfig, ReuseStats};
-use crate::telemetry::{LanePhase, LiveCount, PipelineTelemetry};
+use crate::telemetry::{LanePhase, PipelineTelemetry};
 use crate::trace_span::SpanLane;
 use crate::tracker::{RepetitionTracker, TrackerConfig};
 
@@ -178,17 +181,18 @@ pub(crate) struct Probes<'a> {
     /// per phase, and one `workload` span per job.
     pub(crate) spans: Option<&'a mut SpanLane>,
     /// Windowed repetition time-series sampler (`core::interval`),
-    /// driven every retired instruction of the measurement phase.
+    /// advanced once per measure slice; a slice ends at its window
+    /// boundary.
     pub(crate) sampler: Option<&'a mut IntervalSampler>,
     /// Per-static-instruction attribution profile (`core::profile`),
     /// filled once during finalize from the tracker's per-PC counters —
     /// no per-event cost at all.
     pub(crate) profile: Option<&'a mut InstructionProfile>,
-    /// Live lane telemetry (`core::telemetry`): current phase, batched
-    /// instruction counts, and per-phase wall-time counters, published
-    /// through relaxed atomics for the wall-clock heartbeat sampler. A
-    /// shared reference — unlike the other probes it is read
-    /// concurrently while the run executes.
+    /// Live lane telemetry (`core::telemetry`): current phase, the
+    /// instruction count (added once per slice), and per-phase wall-time
+    /// counters, published through relaxed atomics for the wall-clock
+    /// heartbeat sampler. A shared reference — unlike the other probes
+    /// it is read concurrently while the run executes.
     pub(crate) telemetry: Option<&'a PipelineTelemetry>,
     /// Dynamic loop-nest profiler (`core::loops`): online back-edge
     /// loop detection plus a per-event path assignment, joined against
@@ -279,15 +283,22 @@ impl Probes<'_> {
     }
 }
 
+/// Most instructions one `Machine::run` call retires: a slice takes a
+/// few milliseconds, so the lane count a heartbeat reads lags the run by
+/// at most that.
+const SLICE: u64 = 65_536;
+
 /// One simulation pass with any combination of [`Probes`] attached —
 /// the engine the `Session` builder runs every job on. Its phases
 /// continue the job's phase sequence: the first boundary ends a cache
 /// lookup still under way.
 ///
-/// The phase sinks read the clock at phase boundaries only; the
-/// interval sampler, the loop profiler and the telemetry tick are
-/// `Option`s checked per event. None of them feed back into the
-/// analyses, so the report is byte-identical whatever is attached.
+/// The skip and the measured window are one loop over `Machine::run`
+/// slices. Per event it runs the loop profiler, if attached, and the
+/// observers; per slice it publishes the lane's instruction count and
+/// closes a finished interval window; per phase the phase sinks read
+/// the clock. None of the probes feed back into the analyses, so the
+/// report is byte-identical whatever is attached.
 pub(crate) fn run_probed(
     image: &Image,
     input: Vec<u8>,
@@ -299,7 +310,7 @@ pub(crate) fn run_probed(
     let mut machine = Machine::with_tier(image, interp);
     machine.set_input(input);
     let mut obs = Observers::new(image, cfg);
-    let mut live = probes.telemetry.map(|t| LiveCount::new(t.lane()));
+    let lane = probes.telemetry.map(PipelineTelemetry::lane);
     let mut loops = probes.loops.take();
     let mut sampler = probes.sampler.take();
 
@@ -311,56 +322,48 @@ pub(crate) fn run_probed(
     let region_of =
         |ev: &Event| ev.mem.map(|m| abi::region_of(m.addr, data_end, abi::STACK_REGION_BASE));
 
-    // Skip phase: propagate analysis state without counting. The tracker
-    // is idle during the skip (buffering starts with measurement, as in
-    // the paper).
-    probes.boundary(0, Some(LanePhase::Skip));
+    // The skip propagates analysis state without counting (the tracker
+    // buffers from the measurement on, as in the paper); the window
+    // counts. The sampler closes windows at measure-slice ends.
     let mut outcome = RunOutcome::MaxedOut;
-    if cfg.skip > 0 {
-        outcome = machine.run(cfg.skip, |ev| {
-            if let Some(lp) = loops.as_deref_mut() {
-                lp.observe(ev, false);
+    let mut phase_from = 0;
+    for (phase, budget) in [(LanePhase::Skip, cfg.skip), (LanePhase::Measure, cfg.window)] {
+        probes.boundary(machine.icount() - phase_from, Some(phase));
+        phase_from = machine.icount();
+        let measuring = phase == LanePhase::Measure;
+        let mut left = budget;
+        while left > 0 && machine.exit_code().is_none() {
+            let mut slice = left.min(SLICE);
+            if let Some(s) = sampler.as_deref().filter(|_| measuring) {
+                slice = slice.min(s.until_boundary());
             }
-            obs.skip(ev, region_of(ev));
-            if let Some(l) = live.as_mut() {
-                l.tick();
+            let before = machine.icount();
+            let ran = machine.run(slice, |ev| {
+                if let Some(lp) = loops.as_deref_mut() {
+                    lp.observe(ev, measuring);
+                }
+                obs.observe(ev, region_of(ev), measuring);
+            });
+            let retired = machine.icount() - before;
+            if let Some(l) = lane {
+                l.add_icount(retired);
             }
-        })?;
-    }
-    if let Some(l) = live.as_mut() {
-        l.flush();
-    }
-
-    // Measurement window. The sampler reads gauges only at window
-    // boundaries.
-    probes.boundary(machine.icount(), Some(LanePhase::Measure));
-    let measured_from = machine.icount();
-    if machine.exit_code().is_none() {
-        outcome = machine.run(cfg.window, |ev| {
-            if let Some(lp) = loops.as_deref_mut() {
-                lp.observe(ev, true);
-            }
-            obs.measure(ev, region_of(ev));
-            if let Some(l) = live.as_mut() {
-                l.tick();
-            }
-            if let Some(s) = sampler.as_deref_mut() {
-                if s.tick() {
+            outcome = ran?;
+            left -= retired;
+            if let Some(s) = sampler.as_deref_mut().filter(|_| measuring) {
+                if s.advance(retired) {
                     let (repeated, reuse_hits, buffered) = obs.sampler_gauges();
                     s.flush(repeated, reuse_hits, buffered);
                 }
             }
-        })?;
-    }
-    if let Some(l) = live.as_mut() {
-        l.flush();
+        }
     }
     if let Some(s) = sampler {
         let (repeated, reuse_hits, buffered) = obs.sampler_gauges();
         s.finish(repeated, reuse_hits, buffered);
     }
 
-    probes.boundary(machine.icount() - measured_from, Some(LanePhase::Finalize));
+    probes.boundary(machine.icount() - phase_from, Some(LanePhase::Finalize));
     let Observers { tracker, global, function, local, reuse, classes, values } = &obs;
     let static_stats = tracker.static_stats();
     let (prologue_top, prologue_coverage) = local.prologue_report(cfg.top_k);
@@ -456,22 +459,18 @@ impl Observers {
         }
     }
 
-    /// Skip-phase event: propagate state, count nothing.
-    fn skip(&mut self, ev: &Event, region: Option<Region>) {
-        self.global.observe(ev, false, false);
-        self.function.observe(ev, false, region);
-        self.local.observe(ev, false, false, region);
-    }
-
-    /// Measurement-phase event.
-    fn measure(&mut self, ev: &Event, region: Option<Region>) {
-        let repeated = self.tracker.observe(ev);
-        self.global.observe(ev, repeated, true);
-        self.function.observe(ev, true, region);
-        self.local.observe(ev, repeated, true, region);
-        self.reuse.observe(ev, repeated);
-        self.classes.observe(ev, repeated, true);
-        self.values.observe(ev, repeated);
+    /// One retired instruction. Outside the measured window the
+    /// dataflow observers propagate state and nothing counts.
+    fn observe(&mut self, ev: &Event, region: Option<Region>, measuring: bool) {
+        let repeated = measuring && self.tracker.observe(ev);
+        self.global.observe(ev, repeated, measuring);
+        self.function.observe(ev, measuring, region);
+        self.local.observe(ev, repeated, measuring, region);
+        if measuring {
+            self.reuse.observe(ev, repeated);
+            self.classes.observe(ev, repeated, true);
+            self.values.observe(ev, repeated);
+        }
     }
 
     /// `(dynamic_repeated, reuse_hits, instances_buffered)` for the
@@ -769,6 +768,32 @@ mod tests {
         assert_eq!(loops.total_exec(), probed.dynamic_total);
         assert_eq!(loops.total_repeated(), probed.dynamic_repeated);
         assert!(loops.max_depth >= 1 && !loops.loops.is_empty());
+    }
+
+    #[test]
+    fn trapped_job_publishes_every_retired_instruction() {
+        // A loop, then a division by zero: the job traps after retiring
+        // a count that is no multiple of 1,024.
+        let image = build(
+            r#"
+            int zero;
+            int main() {
+                int s = 0;
+                int i;
+                for (i = 0; i < 300; i++) s += i;
+                return s / zero;
+            }
+            "#,
+        )
+        .unwrap();
+        let mut machine = Machine::new(&image);
+        let retired = instrep_sim::Trace::record(&mut machine, u64::MAX).unwrap_err().partial.len();
+        assert_ne!(retired % 1024, 0, "{retired} retired");
+        let registry = crate::TelemetryRegistry::new();
+        let cfg = AnalysisConfig { skip: 500, ..AnalysisConfig::default() };
+        let err = Session::new(cfg).telemetry(&registry).run_one(&image, Vec::new()).unwrap_err();
+        assert!(matches!(err, SimError::DivideByZero { .. }), "{err:?}");
+        assert_eq!(registry.snapshot().lanes[0].icount, retired as u64);
     }
 
     #[test]

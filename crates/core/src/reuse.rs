@@ -11,6 +11,8 @@
 
 use instrep_sim::Event;
 
+use crate::interval::frac;
+
 /// Geometry of a [`ReuseBuffer`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReuseConfig {
@@ -67,20 +69,12 @@ pub struct ReuseStats {
 impl ReuseStats {
     /// Table 10 column 1: fraction of all instructions reused.
     pub fn hit_rate(&self) -> f64 {
-        ratio(self.hits, self.total)
+        frac(self.hits, self.total)
     }
 
     /// Table 10 column 2: fraction of repeated instructions captured.
     pub fn repeated_capture_rate(&self) -> f64 {
-        ratio(self.repeated_hits, self.repeated_total)
-    }
-}
-
-fn ratio(num: u64, den: u64) -> f64 {
-    if den == 0 {
-        0.0
-    } else {
-        num as f64 / den as f64
+        frac(self.repeated_hits, self.repeated_total)
     }
 }
 
@@ -183,11 +177,6 @@ impl ReuseBuffer {
     /// bounded by `entries`).
     pub fn occupancy(&self) -> u64 {
         self.lru.iter().filter(|&&stamp| stamp != 0).count() as u64
-    }
-
-    /// The buffer geometry.
-    pub fn config(&self) -> ReuseConfig {
-        self.cfg
     }
 }
 

@@ -49,11 +49,10 @@ const MAX_SKIP: u64 = 1_000_000;
 /// `MAX_SKIP + MAX_WINDOW` instructions.
 const MAX_WINDOW: u64 = 25_000_000;
 
-/// The largest `top_k` a request may ask for. Finalize re-sorts every
-/// function's argument-tuple table and every load's value table once
-/// per unit of `top_k`, and allocates coverage vectors `top_k` long,
-/// so an unbounded value aborts or wedges a worker. The paper's
-/// figures use `k` up to 5.
+/// The largest `top_k` a request may ask for. Finalize allocates the
+/// coverage vectors `top_k` long and adds each frequency table's prefix
+/// sums to every `k`, so an unbounded value aborts or wedges a worker.
+/// The paper's figures use `k` up to 5.
 const MAX_TOP_K: usize = 64;
 
 /// `(skip, window)` analysis windows per scale name (the names of

@@ -12,7 +12,10 @@
 //! or end of run — this registry is *live*: handles are lock-free
 //! atomics updated with `Relaxed` ordering from the hot paths, and a
 //! background thread ([`HeartbeatSampler`]) snapshots them on a
-//! wall-clock period mid-measure-loop. `Relaxed` is sufficient because
+//! wall-clock period mid-measure-loop. The pipeline adds a lane's
+//! instruction count once per simulation slice, so a heartbeat's count
+//! lags the run by at most one slice and a trapped job's count includes
+//! every instruction it retired. `Relaxed` is sufficient because
 //! every exported quantity is a single monotone atomic: per-variable
 //! coherence guarantees a later read never observes a smaller value, so
 //! per-lane icounts in consecutive heartbeats are non-decreasing. No
@@ -264,45 +267,6 @@ impl LaneTelemetry {
     /// The workload label the lane is currently running, or `""`.
     pub fn label(&self) -> String {
         self.label.lock().expect("lane label poisoned").clone()
-    }
-}
-
-/// Batches per-event lane icount updates so the measure loop pays one
-/// `Relaxed` `fetch_add` per [`LiveCount::BATCH`] events instead of one
-/// per event. Flush at phase end to keep the published count exact (and
-/// still monotone — the batch only delays increments, never reorders
-/// them).
-#[derive(Debug)]
-pub struct LiveCount<'a> {
-    lane: &'a LaneTelemetry,
-    pending: u64,
-}
-
-impl<'a> LiveCount<'a> {
-    /// Events accumulated locally before publishing to the lane atomic.
-    pub const BATCH: u64 = 1024;
-
-    /// Starts a batcher for one lane.
-    pub fn new(lane: &'a LaneTelemetry) -> LiveCount<'a> {
-        LiveCount { lane, pending: 0 }
-    }
-
-    /// Counts one event, publishing every [`LiveCount::BATCH`] events.
-    #[inline]
-    pub fn tick(&mut self) {
-        self.pending += 1;
-        if self.pending == Self::BATCH {
-            self.lane.add_icount(Self::BATCH);
-            self.pending = 0;
-        }
-    }
-
-    /// Publishes any unflushed remainder.
-    pub fn flush(&mut self) {
-        if self.pending > 0 {
-            self.lane.add_icount(self.pending);
-            self.pending = 0;
-        }
     }
 }
 
@@ -846,22 +810,6 @@ mod tests {
         let snap = registry.snapshot();
         assert_eq!(snap.counters[0].1, 50_000);
         assert_eq!(snap.lanes[0].icount, 50_000);
-    }
-
-    #[test]
-    fn live_count_batches_and_flushes_exactly() {
-        let registry = TelemetryRegistry::new();
-        let lane = registry.lane(0);
-        let mut live = LiveCount::new(&lane);
-        for _ in 0..3000 {
-            live.tick();
-        }
-        // Two full batches published, the 952-event tail still pending.
-        assert_eq!(lane.icount(), 2048);
-        live.flush();
-        assert_eq!(lane.icount(), 3000);
-        live.flush();
-        assert_eq!(lane.icount(), 3000);
     }
 
     #[test]

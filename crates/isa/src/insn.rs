@@ -104,20 +104,6 @@ impl Insn {
         }
     }
 
-    /// Whether this is a control-transfer instruction (branch, jump,
-    /// indirect jump or call).
-    pub fn is_control(&self) -> bool {
-        matches!(
-            self,
-            Insn::Branch { .. } | Insn::Jump { .. } | Insn::Jr { .. } | Insn::Jalr { .. }
-        )
-    }
-
-    /// Whether this is a memory load.
-    pub fn is_load(&self) -> bool {
-        matches!(self, Insn::Mem { op, .. } if op.is_load())
-    }
-
     /// Whether this is a memory store.
     pub fn is_store(&self) -> bool {
         matches!(self, Insn::Mem { op, .. } if !op.is_load())
@@ -160,7 +146,6 @@ mod tests {
         let lw = Insn::Mem { op: MemOp::Load(MemWidth::Word), rt: Reg::T0, base: Reg::SP, off: 8 };
         assert_eq!(lw.def(), Some(Reg::T0));
         assert_eq!(lw.uses(), [Some(Reg::SP), None]);
-        assert!(lw.is_load());
         assert!(!lw.is_store());
 
         let sw = Insn::Mem { op: MemOp::Store(MemWidth::Word), rt: Reg::T0, base: Reg::SP, off: 8 };
@@ -170,7 +155,6 @@ mod tests {
 
         let jal = Insn::Jump { link: true, target: 0x100 };
         assert_eq!(jal.def(), Some(Reg::RA));
-        assert!(jal.is_control());
 
         let beq = Insn::Branch { op: BranchOp::Beq, rs: Reg::A0, rt: Reg::A1, off: -4 };
         assert_eq!(beq.uses(), [Some(Reg::A0), Some(Reg::A1)]);

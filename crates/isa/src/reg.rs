@@ -14,7 +14,7 @@ use std::str::FromStr;
 /// assert_eq!(Reg::A0.number(), 4);
 /// assert_eq!("$sp".parse::<Reg>()?, Reg::SP);
 /// assert_eq!(Reg::S3.name(), "s3");
-/// assert!(Reg::S3.is_callee_saved());
+/// assert_eq!(Reg::arg(2), Some(Reg::A2));
 /// # Ok::<(), instrep_isa::ParseRegError>(())
 /// ```
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -128,24 +128,6 @@ impl Reg {
         NAMES[self.0 as usize]
     }
 
-    /// Whether a called function must preserve this register.
-    ///
-    /// Covers `s0..s7`, `fp`, `gp`, and `sp`. `ra` is *not* callee-saved in
-    /// the ABI sense (a non-leaf function preserves it for itself).
-    pub fn is_callee_saved(self) -> bool {
-        matches!(self.0, 16..=23 | 28..=30)
-    }
-
-    /// Whether this register carries a function argument (`a0..a3`).
-    pub fn is_arg(self) -> bool {
-        matches!(self.0, 4..=7)
-    }
-
-    /// Whether this register carries a return value (`v0` or `v1`).
-    pub fn is_return_value(self) -> bool {
-        matches!(self.0, 2 | 3)
-    }
-
     /// All 32 registers in architectural order.
     pub fn all() -> impl Iterator<Item = Reg> {
         (0..32).map(Reg)
@@ -215,15 +197,6 @@ mod tests {
 
     #[test]
     fn abi_roles() {
-        assert!(Reg::S0.is_callee_saved());
-        assert!(Reg::GP.is_callee_saved());
-        assert!(Reg::SP.is_callee_saved());
-        assert!(Reg::FP.is_callee_saved());
-        assert!(!Reg::T0.is_callee_saved());
-        assert!(!Reg::RA.is_callee_saved());
-        assert!(Reg::A2.is_arg());
-        assert!(!Reg::V0.is_arg());
-        assert!(Reg::V1.is_return_value());
         assert_eq!(Reg::arg(0), Some(Reg::A0));
         assert_eq!(Reg::arg(3), Some(Reg::A3));
         assert_eq!(Reg::arg(4), None);

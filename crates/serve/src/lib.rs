@@ -49,7 +49,7 @@
 //! The crate is a library so tests (and embedders) can run the server
 //! in-process; `src/main.rs` is a thin CLI over [`Server::start`].
 
-use std::io::{ErrorKind as IoErrorKind, Read, Write};
+use std::io::{BufRead, BufReader, ErrorKind as IoErrorKind, Read, Write};
 use std::net::Shutdown;
 use std::os::fd::OwnedFd;
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -401,50 +401,41 @@ fn accept_loop(listener: &UnixListener, tx: SyncSender<WorkItem>, ctx: &Arc<Ctx>
 
 /// What one attempt to read a request line produced.
 enum LineOutcome {
-    /// A complete line (newline stripped).
-    Line(Vec<u8>),
+    /// A complete line, now in the caller's buffer (newline stripped).
+    Line,
     /// The line exceeded the size cap; its bytes through the newline
     /// were discarded and the connection can continue.
     Oversized,
-    /// Peer closed the connection, or the daemon shut its read half.
+    /// Peer closed the connection (mid-line too), or the daemon shut its
+    /// read half.
     Closed,
 }
 
-/// Reads one newline-terminated line, keeping any bytes after it in
-/// `carry` for the next call and discarding a line longer than
-/// `max_bytes`. Blocks until a line, EOF or an error.
-fn read_line(mut stream: &UnixStream, carry: &mut Vec<u8>, max_bytes: usize) -> LineOutcome {
-    let mut discarding = false;
-    let mut chunk = [0u8; 4096];
+/// Reads one newline-terminated line into `line`. A line longer than
+/// `max_bytes`, not counting its newline, is read and dropped at most
+/// `max_bytes + 1` bytes at a time until its newline. Blocks until a
+/// line, EOF or an error.
+fn read_line(reader: &mut impl BufRead, line: &mut Vec<u8>, max_bytes: usize) -> LineOutcome {
+    let cap = (max_bytes as u64).saturating_add(1);
+    let mut oversized = false;
     loop {
-        // Serve a complete line (or finish a discard) from the carry
-        // buffer before touching the socket again.
-        if let Some(pos) = carry.iter().position(|&b| b == b'\n') {
-            let mut line: Vec<u8> = carry.drain(..=pos).collect();
-            line.pop();
-            if line.last() == Some(&b'\r') {
-                line.pop();
-            }
-            if discarding {
-                return LineOutcome::Oversized;
-            }
-            return LineOutcome::Line(line);
-        }
-        if !discarding && carry.len() > max_bytes {
-            // Too long without a newline: switch to discard mode and
-            // keep consuming until the line ends.
-            discarding = true;
-        }
-        if discarding {
-            carry.clear();
-        }
-        match stream.read(&mut chunk) {
-            Ok(0) => return LineOutcome::Closed,
-            Ok(n) => carry.extend_from_slice(&chunk[..n]),
-            Err(e) if e.kind() == IoErrorKind::Interrupted => {}
-            Err(_) => return LineOutcome::Closed,
+        line.clear();
+        match reader.take(cap).read_until(b'\n', line) {
+            Ok(_) if line.last() == Some(&b'\n') => break,
+            // The cap filled without a newline: drop it and read on.
+            Ok(n) if n as u64 == cap => oversized = true,
+            // End of stream (mid-line or not) or a read error.
+            _ => return LineOutcome::Closed,
         }
     }
+    if oversized {
+        return LineOutcome::Oversized;
+    }
+    line.pop();
+    if line.last() == Some(&b'\r') {
+        line.pop();
+    }
+    LineOutcome::Line
 }
 
 /// One connection: request lines in, response lines out, in order.
@@ -457,10 +448,11 @@ fn read_line(mut stream: &UnixStream, carry: &mut Vec<u8>, max_bytes: usize) -> 
 fn handle_connection(mut stream: &UnixStream, tx: &SyncSender<WorkItem>, ctx: &Arc<Ctx>) {
     // A write timeout keeps a dead client from wedging the thread.
     stream.set_write_timeout(Some(Duration::from_secs(10))).ok();
-    let mut carry = Vec::new();
+    let mut reader = BufReader::new(stream);
+    let mut line = Vec::new();
     loop {
-        let response = match read_line(stream, &mut carry, ctx.max_request_bytes) {
-            LineOutcome::Line(line) => handle_request_line(&line, tx, ctx),
+        let response = match read_line(&mut reader, &mut line, ctx.max_request_bytes) {
+            LineOutcome::Line => handle_request_line(&line, tx, ctx),
             LineOutcome::Oversized => {
                 ctx.tel.bad_requests.inc();
                 let max = ctx.max_request_bytes;

@@ -124,16 +124,32 @@ fn protocol_errors_leave_the_connection_usable() {
         other => panic!("expected unsupported_version, got {other:?}"),
     }
 
-    // An oversized line is discarded without reading it into memory...
-    c.send_line(&Request::raw_source(8, &"x".repeat(8192)).encode());
-    match Response::decode(&c.recv_line().unwrap()).unwrap() {
-        Response::Error(e) => assert_eq!(e.kind, ErrorKind::Oversized),
-        other => panic!("expected oversized, got {other:?}"),
+    // A line one byte over the cap, or a read chunk over it, or two, is
+    // discarded without reading it whole into memory: each is a request
+    // that would compile, padded to its length...
+    for (id, len) in [(8, 4096 + 1), (9, 4096 + 948), (10, 4096 + 3948), (11, 8192)] {
+        let base = Request::raw_source(id, FAST_SOURCE).encode().len();
+        let padded = format!("{FAST_SOURCE}{}", " ".repeat(len - base));
+        let line = Request::raw_source(id, &padded).encode();
+        assert_eq!(line.len(), len);
+        c.send_line(&line);
+        match Response::decode(&c.recv_line().unwrap()).unwrap() {
+            Response::Error(e) => assert_eq!(e.kind, ErrorKind::Oversized, "{len} bytes"),
+            other => panic!("expected oversized for {len} bytes, got {other:?}"),
+        }
+
+        // ...and the same connection keeps working afterwards.
+        match c.roundtrip(&Request::raw_source(id + 100, FAST_SOURCE)) {
+            Response::Report(p) => assert_eq!(p.id, id + 100),
+            other => panic!("expected report, got {other:?}"),
+        }
     }
 
-    // ...and the same connection keeps working afterwards.
-    match c.roundtrip(&Request::raw_source(9, FAST_SOURCE)) {
-        Response::Report(p) => assert_eq!(p.id, 9),
+    // A line of exactly the cap is served.
+    let base = Request::raw_source(12, FAST_SOURCE).encode().len();
+    let padded = format!("{FAST_SOURCE}{}", " ".repeat(4096 - base));
+    match c.roundtrip(&Request::raw_source(12, &padded)) {
+        Response::Report(p) => assert_eq!(p.id, 12),
         other => panic!("expected report, got {other:?}"),
     }
     stop(server);

@@ -61,10 +61,10 @@ impl Client {
         self.try_send_line(line).unwrap();
     }
 
-    /// Sends one line; fails once the server has stopped reading.
+    /// Sends one line, newline included, in one write; fails once the
+    /// server has stopped reading.
     pub fn try_send_line(&mut self, line: &str) -> std::io::Result<()> {
-        self.stream.write_all(line.as_bytes())?;
-        self.stream.write_all(b"\n")
+        self.stream.write_all(format!("{line}\n").as_bytes())
     }
 
     /// Half-closes the connection: the server sees EOF after the lines

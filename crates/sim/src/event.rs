@@ -115,16 +115,6 @@ impl Event {
             },
         }
     }
-
-    /// Whether this dynamic instruction is a function call.
-    pub fn is_call(&self) -> bool {
-        matches!(self.ctrl, Some(CtrlEffect::Call { .. }))
-    }
-
-    /// Whether this dynamic instruction is a function return.
-    pub fn is_return(&self) -> bool {
-        matches!(self.ctrl, Some(CtrlEffect::Return { .. }))
-    }
 }
 
 #[cfg(test)]
@@ -161,15 +151,5 @@ mod tests {
         assert_eq!(e.outcome(), 77);
         e.mem = None;
         assert_eq!(e.outcome(), 0);
-    }
-
-    #[test]
-    fn call_return_predicates() {
-        let mut e = base_event();
-        assert!(!e.is_call());
-        e.ctrl = Some(CtrlEffect::Call { target: 0, args: [0; 8], sp: 0, ra: 0 });
-        assert!(e.is_call());
-        e.ctrl = Some(CtrlEffect::Return { target: 0, v0: 0 });
-        assert!(e.is_return());
     }
 }

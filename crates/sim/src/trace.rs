@@ -2,8 +2,8 @@
 //!
 //! Many experiments replay the *same* execution through several analysis
 //! configurations (reuse-buffer geometries, tracker caps, predictor
-//! variants). [`Trace::record`] captures one run's event stream;
-//! [`Trace::replay`] feeds it to any observer without re-simulating,
+//! variants). [`Trace::record`] captures one run's event stream, and
+//! [`Trace::events`] hands it to any observer without re-simulating,
 //! guaranteeing every configuration sees an identical instruction stream.
 
 use std::fmt;
@@ -54,8 +54,7 @@ impl std::error::Error for RecordError {
 /// let mut m = Machine::new(&image);
 /// let trace = Trace::record(&mut m, 1_000)?;
 /// assert_eq!(trace.len(), 4);
-/// let mut outs = 0;
-/// trace.replay(|ev| outs += u32::from(ev.out.is_some()));
+/// let outs = trace.events().iter().filter(|ev| ev.out.is_some()).count();
 /// assert_eq!(outs, 3); // syscall (exit) produces no register result
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
@@ -99,29 +98,6 @@ impl Trace {
     pub fn events(&self) -> &[Event] {
         &self.events
     }
-
-    /// Feeds every event to `observer`, in order.
-    pub fn replay<F: FnMut(&Event)>(&self, mut observer: F) {
-        for ev in &self.events {
-            observer(ev);
-        }
-    }
-
-    /// Replays a sub-range `[start, end)` of the trace (clamped), e.g. to
-    /// reproduce a skip/window split without re-recording.
-    pub fn replay_range<F: FnMut(&Event)>(&self, start: usize, end: usize, mut observer: F) {
-        let end = end.min(self.events.len());
-        let start = start.min(end);
-        for ev in &self.events[start..end] {
-            observer(ev);
-        }
-    }
-}
-
-impl FromIterator<Event> for Trace {
-    fn from_iter<I: IntoIterator<Item = Event>>(iter: I) -> Trace {
-        Trace { events: iter.into_iter().collect(), outcome: None }
-    }
 }
 
 #[cfg(test)]
@@ -155,32 +131,13 @@ mod tests {
         assert_eq!(trace.outcome(), Some(RunOutcome::Exited(0)));
         assert!(!trace.is_empty());
 
-        // Replaying twice produces the same stream.
-        let mut a = Vec::new();
-        trace.replay(|ev| a.push((ev.pc, ev.in1, ev.outcome())));
-        let mut b = Vec::new();
-        trace.replay(|ev| b.push((ev.pc, ev.in1, ev.outcome())));
-        assert_eq!(a, b);
+        // The recorded stream matches a fresh simulation.
+        let a: Vec<_> = trace.events().iter().map(|ev| (ev.pc, ev.in1, ev.outcome())).collect();
         assert_eq!(a.len(), trace.len());
-
-        // And matches a fresh simulation.
         let mut m2 = machine();
         let mut c = Vec::new();
         m2.run(1_000_000, |ev| c.push((ev.pc, ev.in1, ev.outcome()))).unwrap();
         assert_eq!(a, c);
-    }
-
-    #[test]
-    fn range_replay_clamps() {
-        let mut m = machine();
-        let trace = Trace::record(&mut m, 1_000_000).unwrap();
-        let n = trace.len();
-        let mut count = 0;
-        trace.replay_range(2, n + 100, |_| count += 1);
-        assert_eq!(count, n - 2);
-        count = 0;
-        trace.replay_range(50, 10, |_| count += 1);
-        assert_eq!(count, 0);
     }
 
     #[test]
@@ -209,8 +166,7 @@ mod tests {
         assert_eq!(err.partial.outcome(), None);
         assert!(err.to_string().contains("3 recorded events"));
 
-        // Replaying the partial trace matches a fresh run cut at the
-        // trap point.
+        // The partial trace matches a fresh run cut at the trap point.
         let mut fresh = Machine::new(&assemble(src).unwrap());
         let mut direct = Vec::new();
         for _ in 0..3 {
@@ -218,17 +174,8 @@ mod tests {
             direct.push((ev.pc, ev.in1, ev.in2, ev.outcome()));
         }
         assert!(fresh.step().is_err());
-        let mut replayed = Vec::new();
-        err.partial.replay(|ev| replayed.push((ev.pc, ev.in1, ev.in2, ev.outcome())));
-        assert_eq!(replayed, direct);
-    }
-
-    #[test]
-    fn collect_from_events() {
-        let mut m = machine();
-        let trace = Trace::record(&mut m, 20).unwrap();
-        let sub: Trace = trace.events().iter().copied().take(5).collect();
-        assert_eq!(sub.len(), 5);
-        assert_eq!(sub.outcome(), None);
+        let events = err.partial.events().iter();
+        let recorded: Vec<_> = events.map(|ev| (ev.pc, ev.in1, ev.in2, ev.outcome())).collect();
+        assert_eq!(recorded, direct);
     }
 }

@@ -105,14 +105,6 @@ impl Rng {
         let threshold = (p.clamp(0.0, 1.0) * (u64::MAX as f64)) as u64;
         self.next_u64() <= threshold
     }
-
-    /// Fills a byte slice with random data.
-    pub fn fill_bytes(&mut self, out: &mut [u8]) {
-        for chunk in out.chunks_mut(8) {
-            let v = self.next_u64().to_le_bytes();
-            chunk.copy_from_slice(&v[..chunk.len()]);
-        }
-    }
 }
 
 /// Integer types [`Rng::gen_range`] can sample. All values round-trip
@@ -203,17 +195,5 @@ mod tests {
         assert!((0..64).all(|_| !r.gen_bool(0.0)));
         let heads = (0..10_000).filter(|_| r.gen_bool(0.5)).count();
         assert!((4500..5500).contains(&heads), "p=0.5 gave {heads}/10000");
-    }
-
-    #[test]
-    fn fill_bytes_fills_every_length() {
-        let mut r = Rng::seed_from_u64(4);
-        for len in 0..32 {
-            let mut buf = vec![0u8; len];
-            r.fill_bytes(&mut buf);
-            if len >= 8 {
-                assert!(buf.iter().any(|&b| b != 0), "len {len} all zero");
-            }
-        }
     }
 }

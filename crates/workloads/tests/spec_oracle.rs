@@ -9,13 +9,24 @@
 //! `sim::Trace` with linear scans over plain `Vec`s, and compared with
 //! what `Session::run_one` reports for the same program and window.
 //!
+//! Table 3 (§5.1) is recomputed from the same trace: every value carries
+//! the source of the data it derives from, in registers and in a map of
+//! memory words, and each instruction counts under the greatest source
+//! among its inputs.
+//!
 //! A proptest-gated case extends the check to randomly parameterized
 //! MiniC programs; run it with
 //! `cargo test -p instrep-workloads --features proptest`.
 
+use std::collections::HashMap;
+
 use instrep_asm::Image;
-use instrep_core::{AnalysisConfig, Coverage, ReuseStats, Session, TrackerConfig};
-use instrep_sim::{Event, Machine, Trace};
+use instrep_core::{
+    AnalysisConfig, Coverage, GlobalCounts, GlobalTag, ReuseStats, Session, TrackerConfig,
+};
+use instrep_isa::abi::Syscall;
+use instrep_isa::{Insn, Reg};
+use instrep_sim::{CtrlEffect, Event, Machine, Trace};
 use instrep_workloads::{all, Scale};
 
 /// Tiny-scale analysis windows (mirroring `instrep-repro --scale tiny`).
@@ -51,6 +62,8 @@ struct Way {
 struct Spec {
     statics: Vec<Static>,
     reuse: ReuseStats,
+    /// Whether each measured instruction repeated, in order.
+    verdicts: Vec<bool>,
 }
 
 impl Spec {
@@ -59,6 +72,7 @@ impl Spec {
         let sets = cfg.reuse.entries / cfg.reuse.ways;
         let mut buffer: Vec<Vec<Way>> = (0..sets).map(|_| Vec::new()).collect();
         let mut reuse = ReuseStats::default();
+        let mut verdicts = Vec::with_capacity(measured.len());
 
         for (now, ev) in measured.iter().enumerate() {
             let outcome = ev.outcome();
@@ -88,6 +102,7 @@ impl Spec {
                     false
                 }
             };
+            verdicts.push(repeated);
 
             // Reuse: scan the PC's set. A match on PC and inputs with a
             // changed outcome is a stale entry: refreshed, not a hit.
@@ -121,7 +136,7 @@ impl Spec {
                 }
             }
         }
-        Spec { statics, reuse }
+        Spec { statics, reuse, verdicts }
     }
 
     fn executed(&self) -> impl Iterator<Item = &Static> {
@@ -155,6 +170,90 @@ impl Spec {
     }
 }
 
+/// Table 3 over a whole trace: the first `skip` events carry sources
+/// forward without counting, and the rest count under `verdicts`.
+///
+/// A value's source is external input (read from the input stream),
+/// global init data (in the image's initialized data), program internal
+/// (immediates, and what derives only from them) or uninit, and a value
+/// derived from several takes the one that supersedes the others,
+/// `External > GlobalInit > Internal > Uninit`. An instruction counts
+/// under the source its result takes; a store counts under the value it
+/// stores.
+fn global_spec(image: &Image, events: &[Event], skip: usize, verdicts: &[bool]) -> GlobalCounts {
+    use GlobalTag::{External, GlobalInit, Internal, Uninit};
+    // The loader sets `$zero`, `$gp` and `$sp` to program constants.
+    let mut regs = [Uninit; 32];
+    for r in [Reg::ZERO, Reg::GP, Reg::SP] {
+        regs[r.number() as usize] = Internal;
+    }
+    // Sources of written memory words. A word never written holds its
+    // initial data: global init inside the initialized ranges, else
+    // uninit.
+    let mut words: HashMap<u32, GlobalTag> = HashMap::new();
+    let memory = |words: &HashMap<u32, GlobalTag>, addr: u32| match words.get(&(addr & !3)) {
+        Some(&tag) => tag,
+        None if image.init_ranges.iter().any(|r| r.contains(&addr)) => GlobalInit,
+        None => Uninit,
+    };
+    let mut counts = GlobalCounts::default();
+    for (i, ev) in events.iter().enumerate() {
+        let tag = match ev.insn {
+            Insn::Mem { rt, .. } if ev.insn.is_store() => regs[rt.number() as usize],
+            insn => {
+                // An immediate (an offset, a shift amount, a target) is
+                // a program-internal input. These four read registers
+                // only: a branch offset is where to go, not data.
+                let mut tag = match insn {
+                    Insn::Alu { .. }
+                    | Insn::Branch { .. }
+                    | Insn::Jr { .. }
+                    | Insn::Jalr { .. } => Uninit,
+                    _ => Internal,
+                };
+                for r in insn.uses().into_iter().flatten() {
+                    tag = tag.max(regs[r.number() as usize]);
+                }
+                if let Some(m) = ev.mem.filter(|m| m.is_load) {
+                    tag = tag.max(memory(&words, m.addr));
+                }
+                tag
+            }
+        };
+        match ev.insn.def() {
+            // `$zero` stays 0, a program constant.
+            Some(Reg::ZERO) | None => {}
+            // A return address is a program constant too.
+            Some(r) if matches!(ev.insn, Insn::Jump { .. } | Insn::Jalr { .. }) => {
+                regs[r.number() as usize] = Internal;
+            }
+            Some(r) => regs[r.number() as usize] = tag,
+        }
+        if let Some(m) = ev.mem.filter(|m| !m.is_load) {
+            words.insert(m.addr & !3, tag);
+        }
+        // `read` fills its buffer with external input and returns an
+        // external count; the other calls return program constants.
+        if let Some(CtrlEffect::Syscall { call, a, ret }) = ev.ctrl {
+            let v0 = &mut regs[Reg::V0.number() as usize];
+            *v0 = Internal;
+            if call == Syscall::Read {
+                *v0 = External;
+                for byte in a[1]..a[1] + ret {
+                    words.insert(byte & !3, External);
+                }
+            }
+        }
+        if i >= skip {
+            counts.overall[tag as usize] += 1;
+            if verdicts[i - skip] {
+                counts.repeated[tag as usize] += 1;
+            }
+        }
+    }
+    counts
+}
+
 /// Runs `image` through the spec and through `Session::run_one`, and
 /// asserts that they agree.
 fn check(label: &str, image: &Image, input: Vec<u8>, cfg: AnalysisConfig) {
@@ -163,7 +262,8 @@ fn check(label: &str, image: &Image, input: Vec<u8>, cfg: AnalysisConfig) {
     let mut m = Machine::new(image);
     m.set_input(input);
     let trace = Trace::record(&mut m, cfg.skip + cfg.window).expect("program records");
-    let measured = &trace.events()[(cfg.skip as usize).min(trace.len())..];
+    let skip = (cfg.skip as usize).min(trace.len());
+    let measured = &trace.events()[skip..];
     let spec = Spec::run(measured, image.text.len(), &cfg);
 
     let repeated: u64 = spec.executed().map(|s| s.repeated).sum();
@@ -188,6 +288,9 @@ fn check(label: &str, image: &Image, input: Vec<u8>, cfg: AnalysisConfig) {
     assert_eq!(report.instance_coverage.total(), repeated, "{label}: Figure 4 total");
 
     assert_eq!(report.reuse, spec.reuse, "{label}: Table 10");
+
+    let global = global_spec(image, trace.events(), skip, &spec.verdicts);
+    assert_eq!(report.global, global, "{label}: Table 3");
 }
 
 #[test]

@@ -355,6 +355,14 @@ assert r["ok"] is False and r["error"] == "unsupported_version", r
 assert "99" in r["message"] and "1" in r["message"], r
 r = ask(json.dumps({"schema_version": 1, "id": 6, "source": "x" * 200000}))
 assert r["ok"] is False and r["error"] == "oversized", r
+# A source that compiles, in a line under one read chunk over the cap:
+# refused as well, not served because its newline came in that read.
+src = "int main() { return 7; }"
+line = json.dumps({"schema_version": 1, "id": 9, "source": src})
+line = line.replace(src, src + " " * (132000 - len(line)))
+assert len(line) == 132000
+r = ask(line)
+assert r["ok"] is False and r["error"] == "oversized", r
 
 # Backpressure: worker busy + the one queue slot taken => reject #3
 # with a retry hint, while the two admitted requests still finish. The

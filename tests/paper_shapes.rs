@@ -4,8 +4,8 @@
 //! who is high, who is low, what dominates.
 //!
 //! Runs every SPEC-analog workload once at test scale and checks each
-//! section of the paper against the shared reports; Tables 1, 4 and 7
-//! are also checked on the published `--scale small` run
+//! section of the paper against the shared reports; Tables 1, 3, 4, 7
+//! and 10 are also checked on the published `--scale small` run
 //! (`results/small_summary.csv`, `results/small_breakdowns.csv`). The
 //! loop-diversity kernels (`interp`, `stencil` — DESIGN.md §16.3) are
 //! excluded: they deliberately sit outside the paper's envelope (flat
@@ -165,6 +165,51 @@ fn table7_small_scale_shapes() {
         }
     }
     assert_eq!(checked, floors.len() * spec_analogs().count(), "one per category and analog");
+}
+
+#[test]
+fn table3_small_scale_shapes() {
+    // EXPERIMENTS.md's Table 3 claims at `--scale small`: no analog
+    // computes on uninitialized data, and each global category's share
+    // of the repeated instructions lies within 6 points of its share of
+    // all instructions (the widest gap is vortex internals, 78.7%
+    // against 84.2%).
+    let mut shares: HashMap<(String, String), [f64; 2]> = HashMap::new();
+    for row in small_rows("small_breakdowns.csv") {
+        let column = match row["metric"].as_str() {
+            "overall_share" => 0,
+            "repeated_share" => 1,
+            _ => continue,
+        };
+        if row["analysis"] == "global" {
+            let key = (row["bench"].clone(), row["category"].clone());
+            shares.entry(key).or_default()[column] = num(&row, "value");
+        }
+    }
+    assert_eq!(shares.len(), GlobalTag::ALL.len() * spec_analogs().count(), "{shares:?}");
+    for ((bench, category), &[overall, repeated]) in &shares {
+        if category == GlobalTag::Uninit.label() {
+            assert_eq!(overall, 0.0, "{bench}: uninit share {overall}");
+        }
+        assert!(
+            (repeated - overall).abs() <= 0.06,
+            "{bench} {category}: repeated share {repeated} against overall {overall}"
+        );
+    }
+}
+
+#[test]
+fn table10_small_scale_shapes() {
+    // EXPERIMENTS.md's Table 10 claims at `--scale small`: m88ksim
+    // reuses the most instructions (81.7%) and compress the fewest
+    // (47.2%), and every analog reuses fewer than its Table 1 ceiling.
+    let rows = small_summary(["reuse_hit_rate", "repetition_rate"]);
+    let hits = |name: &str| rows[name][0];
+    for (name, &[reuse, repetition]) in &rows {
+        assert!(name == "m88ksim" || reuse < hits("m88ksim"), "{name} reuses more than m88ksim");
+        assert!(name == "compress" || reuse > hits("compress"), "{name} reuses less than compress");
+        assert!(reuse < repetition, "{name}: reuse {reuse} is not below repetition {repetition}");
+    }
 }
 
 #[test]
