@@ -124,6 +124,19 @@ mod tests {
     }
 
     #[test]
+    fn shared_addresses_print_the_first_label() {
+        // Each assembly builds a fresh symbol table; a table that yielded
+        // its labels in hash order would name these addresses differently
+        // from one table to the next.
+        let src = ".text\nfirst: second: third:\nnop\nfourth: fifth: jr $ra\nsixth:\n";
+        for _ in 0..16 {
+            let listing = disassemble(&assemble(src).unwrap());
+            let labels: Vec<&str> = listing.lines().filter(|l| l.ends_with(':')).collect();
+            assert_eq!(labels, ["first:", "fourth:"], "{listing}");
+        }
+    }
+
+    #[test]
     fn range_clamps() {
         let image = assemble(".text\nnop\nnop\nnop\n").unwrap();
         let all = disassemble_range(&image, 0, u32::MAX);

@@ -1,11 +1,16 @@
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use instrep_isa::abi;
 
-/// Symbol table mapping label names to absolute addresses.
+/// Symbol table mapping label names to absolute addresses, kept in
+/// definition order.
 #[derive(Debug, Clone, Default)]
 pub struct SymbolTable {
-    map: HashMap<String, u32>,
+    /// `(name, address)` in definition order.
+    syms: Vec<(Arc<str>, u32)>,
+    /// Each name's index in `syms`.
+    index: HashMap<Arc<str>, usize>,
 }
 
 impl SymbolTable {
@@ -14,34 +19,43 @@ impl SymbolTable {
         SymbolTable::default()
     }
 
+    /// Defines `name` at `addr`. Returns `false`, and moves the symbol
+    /// to `addr`, if `name` was already defined.
     pub(crate) fn insert(&mut self, name: &str, addr: u32) -> bool {
-        self.map.insert(name.to_string(), addr).is_none()
+        if let Some(&i) = self.index.get(name) {
+            self.syms[i].1 = addr;
+            return false;
+        }
+        let name: Arc<str> = Arc::from(name);
+        self.index.insert(Arc::clone(&name), self.syms.len());
+        self.syms.push((name, addr));
+        true
     }
 
     /// Looks up a symbol's address.
     pub fn get(&self, name: &str) -> Option<u32> {
-        self.map.get(name).copied()
+        self.index.get(name).map(|&i| self.syms[i].1)
     }
 
     /// Number of symbols defined.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.syms.len()
     }
 
     /// Whether no symbols are defined.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.syms.is_empty()
     }
 
-    /// Iterates over `(name, address)` pairs in arbitrary order.
+    /// Iterates over `(name, address)` pairs in definition order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, u32)> {
-        self.map.iter().map(|(k, v)| (k.as_str(), *v))
+        self.syms.iter().map(|(name, addr)| (&**name, *addr))
     }
 
-    /// The name of the symbol at exactly `addr`, preferring function
-    /// symbols is not attempted; any match is returned.
+    /// The name of the first symbol defined at exactly `addr`, so a
+    /// listing names an address the same way in every run.
     pub fn name_at(&self, addr: u32) -> Option<&str> {
-        self.map.iter().find(|(_, a)| **a == addr).map(|(n, _)| n.as_str())
+        self.syms.iter().find(|(_, a)| *a == addr).map(|(name, _)| &**name)
     }
 }
 
@@ -152,6 +166,19 @@ mod tests {
         assert_eq!(t.len(), 1);
         assert_eq!(t.name_at(8), Some("a"));
         assert_eq!(t.name_at(4), None);
+    }
+
+    #[test]
+    fn symbols_keep_definition_order() {
+        let mut t = SymbolTable::new();
+        for (name, addr) in [("z", 8), ("b", 4), ("y", 8), ("a", 4), ("x", 12)] {
+            assert!(t.insert(name, addr));
+        }
+        let names: Vec<_> = t.iter().map(|(name, _)| name).collect();
+        assert_eq!(names, ["z", "b", "y", "a", "x"]);
+        assert_eq!(t.name_at(8), Some("z"));
+        assert_eq!(t.name_at(4), Some("b"));
+        assert_eq!(t.get("y"), Some(8));
     }
 
     #[test]

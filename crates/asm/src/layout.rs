@@ -12,16 +12,17 @@ use instrep_isa::{AluOp, BranchOp, ImmOp, Insn, MemOp, MemWidth, Reg, ShiftOp};
 
 use crate::error::AsmError;
 use crate::image::{FuncMeta, Image, SymbolTable};
-use crate::parse::{Expr, Item, Operand, Reloc, Section, Stmt};
+use crate::parse::{Expr, Operand, Parsed, Reloc, Section, Stmt};
 
 fn err(line: u32, msg: impl Into<String>) -> AsmError {
     AsmError::new(line, msg)
 }
 
-/// Items plus the results of the two layout passes.
-pub(crate) struct Laid {
-    items: Vec<Item>,
+/// The parsed file plus the results of the two layout passes.
+pub(crate) struct Laid<'a> {
+    parsed: Parsed<'a>,
     symbols: SymbolTable,
+    text_len: u32,
     data_len: u32,
     init_ranges: Vec<std::ops::Range<u32>>,
     funcs: Vec<FuncMeta>,
@@ -30,15 +31,17 @@ pub(crate) struct Laid {
 /// Size in bytes a data statement occupies (before alignment).
 fn data_stmt_bytes(stmt: &Stmt) -> Option<(u32, u32, bool)> {
     // (alignment, size, initialized)
-    match stmt {
-        Stmt::Word(es) => Some((4, 4 * es.len() as u32, true)),
-        Stmt::Half(hs) => Some((2, 2 * hs.len() as u32, true)),
-        Stmt::Byte(bs) => Some((1, bs.len() as u32, true)),
-        Stmt::Ascii(bs) | Stmt::Asciiz(bs) => Some((1, bs.len() as u32, true)),
-        Stmt::Space(n) => Some((1, *n, false)),
+    match *stmt {
+        Stmt::Values { width, values } => Some((width, width * values.len() as u32, true)),
+        Stmt::Ascii(bytes) => Some((1, bytes.len() as u32, true)),
+        Stmt::Space(n) => Some((1, n, false)),
         _ => None,
     }
 }
+
+/// Bytes the data segment may span: it must end below the stack region,
+/// which also keeps every data address and cursor within `u32`.
+const MAX_DATA: u32 = abi::STACK_REGION_BASE - abi::DATA_BASE;
 
 fn align_to(cursor: u32, align: u32) -> u32 {
     debug_assert!(align.is_power_of_two());
@@ -46,7 +49,7 @@ fn align_to(cursor: u32, align: u32) -> u32 {
 }
 
 /// Pass A + B: assign all addresses.
-pub(crate) fn layout(items: Vec<Item>) -> Result<Laid, AsmError> {
+pub(crate) fn layout(parsed: Parsed<'_>) -> Result<Laid<'_>, AsmError> {
     let mut symbols = SymbolTable::new();
     let mut init_ranges: Vec<std::ops::Range<u32>> = Vec::new();
 
@@ -56,7 +59,7 @@ pub(crate) fn layout(items: Vec<Item>) -> Result<Laid, AsmError> {
     let mut section = Section::Text;
     let mut dcur: u32 = 0;
     let mut pending: Vec<(&str, u32)> = Vec::new(); // (name, line)
-    for item in &items {
+    for item in &parsed.items {
         match &item.stmt {
             Stmt::Section(s) => section = *s,
             Stmt::Label(name) if section == Section::Data => {
@@ -68,6 +71,11 @@ pub(crate) fn layout(items: Vec<Item>) -> Result<Laid, AsmError> {
             other if section == Section::Data => {
                 if let Some((align, size, init)) = data_stmt_bytes(other) {
                     dcur = align_to(dcur, align);
+                    // `dcur` is at most MAX_DATA plus one alignment pad and
+                    // `size` at most 2^30, so the sum cannot overflow.
+                    if dcur + size > MAX_DATA {
+                        return Err(err(item.line, "data segment runs into the stack region"));
+                    }
                     for (name, line) in pending.drain(..) {
                         if !symbols.insert(name, abi::DATA_BASE + dcur) {
                             return Err(err(line, format!("duplicate symbol `{name}`")));
@@ -101,9 +109,9 @@ pub(crate) fn layout(items: Vec<Item>) -> Result<Laid, AsmError> {
     let mut section = Section::Text;
     let mut tcur: u32 = 0; // instruction index
     let mut funcs: Vec<FuncMeta> = Vec::new();
-    let mut open_func: Option<(String, u8, u32, u32)> = None; // name, arity, entry, line
+    let mut open_func: Option<(&str, u8, u32, u32)> = None; // name, arity, entry, line
     let mut scratch = Vec::new();
-    for item in &items {
+    for item in &parsed.items {
         match &item.stmt {
             Stmt::Section(s) => section = *s,
             Stmt::Label(name)
@@ -118,18 +126,23 @@ pub(crate) fn layout(items: Vec<Item>) -> Result<Laid, AsmError> {
                         format!("`.func {name}` while `.func {open}` is still open"),
                     ));
                 }
-                open_func = Some((name.clone(), *arity, abi::TEXT_BASE + tcur * 4, item.line));
+                open_func = Some((name, *arity, abi::TEXT_BASE + tcur * 4, item.line));
             }
             Stmt::EndFunc if section == Section::Text => {
                 let (name, arity, entry, _) =
                     open_func.take().ok_or_else(|| err(item.line, "`.endfunc` without `.func`"))?;
-                funcs.push(FuncMeta { name, entry, end: abi::TEXT_BASE + tcur * 4, arity });
+                funcs.push(FuncMeta {
+                    name: name.to_string(),
+                    entry,
+                    end: abi::TEXT_BASE + tcur * 4,
+                    arity,
+                });
             }
             Stmt::Insn { mnemonic, operands } if section == Section::Text => {
                 scratch.clear();
                 expand(
                     mnemonic,
-                    operands,
+                    operands.of(&parsed.operands),
                     abi::TEXT_BASE + tcur * 4,
                     &symbols,
                     false,
@@ -151,33 +164,21 @@ pub(crate) fn layout(items: Vec<Item>) -> Result<Laid, AsmError> {
         return Err(err(line, format!("`.func {name}` never closed")));
     }
 
-    Ok(Laid { items, symbols, data_len, init_ranges, funcs })
+    Ok(Laid { parsed, symbols, text_len: tcur, data_len, init_ranges, funcs })
 }
 
 /// Final pass: emit binary text and data with all symbols resolved.
-pub(crate) fn encode(laid: Laid) -> Result<Image, AsmError> {
-    let Laid { items, symbols, data_len, init_ranges, funcs } = laid;
-    let mut text: Vec<u32> = Vec::new();
-    let mut lines: Vec<u32> = Vec::new();
+pub(crate) fn encode(laid: Laid<'_>) -> Result<Image, AsmError> {
+    let Laid { parsed, symbols, text_len, data_len, init_ranges, funcs } = laid;
+    let mut text: Vec<u32> = Vec::with_capacity(text_len as usize);
+    let mut lines: Vec<u32> = Vec::with_capacity(text_len as usize);
     let mut cur_line: u32 = 0; // active `.loc` source line (0 = unknown)
     let mut data: Vec<u8> = vec![0; data_len as usize];
     let mut insns = Vec::new();
 
-    let resolve_data = |expr: &Expr, line: u32| -> Result<i64, AsmError> {
-        match expr {
-            Expr::Imm(v) => Ok(*v),
-            Expr::Sym(name, off) => {
-                let addr = symbols
-                    .get(name)
-                    .ok_or_else(|| err(line, format!("undefined symbol `{name}`")))?;
-                Ok(i64::from(addr) + off)
-            }
-        }
-    };
-
     let mut section = Section::Text;
     let mut dcur: u32 = 0;
-    for item in &items {
+    for item in &parsed.items {
         match &item.stmt {
             Stmt::Section(s) => section = *s,
             Stmt::Loc(n) => cur_line = *n,
@@ -185,7 +186,7 @@ pub(crate) fn encode(laid: Laid) -> Result<Image, AsmError> {
                 insns.clear();
                 expand(
                     mnemonic,
-                    operands,
+                    operands.of(&parsed.operands),
                     abi::TEXT_BASE + (text.len() as u32) * 4,
                     &symbols,
                     true,
@@ -202,34 +203,28 @@ pub(crate) fn encode(laid: Laid) -> Result<Image, AsmError> {
                     data[*dcur as usize..*dcur as usize + bytes.len()].copy_from_slice(bytes);
                     *dcur += bytes.len() as u32;
                 };
-                match other {
-                    Stmt::Word(es) => {
-                        dcur = align_to(dcur, 4);
-                        for e in es {
-                            let v = resolve_data(e, item.line)?;
-                            if !(-(1i64 << 31)..(1i64 << 32)).contains(&v) {
-                                return Err(err(item.line, format!("word value {v} out of range")));
+                match *other {
+                    Stmt::Values { width, values } => {
+                        // Aligned once, as layout did, even when empty.
+                        dcur = align_to(dcur, width);
+                        let bits = 8 * width;
+                        let what = match width {
+                            4 => "word",
+                            2 => "half",
+                            _ => "byte",
+                        };
+                        for e in values.of(&parsed.values) {
+                            let v = resolve(e, &symbols, true, item.line)?.unwrap_or(0);
+                            if !(-(1i64 << (bits - 1))..(1i64 << bits)).contains(&v) {
+                                return Err(err(
+                                    item.line,
+                                    format!("{what} value {v} out of range"),
+                                ));
                             }
-                            put(&(v as u32).to_le_bytes(), 4, &mut dcur);
+                            put(&(v as u32).to_le_bytes()[..width as usize], width, &mut dcur);
                         }
                     }
-                    Stmt::Half(hs) => {
-                        for &v in hs {
-                            if !(-(1i64 << 15)..(1i64 << 16)).contains(&v) {
-                                return Err(err(item.line, format!("half value {v} out of range")));
-                            }
-                            put(&(v as u16).to_le_bytes(), 2, &mut dcur);
-                        }
-                    }
-                    Stmt::Byte(bs) => {
-                        for &v in bs {
-                            if !(-128..256).contains(&v) {
-                                return Err(err(item.line, format!("byte value {v} out of range")));
-                            }
-                            put(&[v as u8], 1, &mut dcur);
-                        }
-                    }
-                    Stmt::Ascii(bs) | Stmt::Asciiz(bs) => put(bs, 1, &mut dcur),
+                    Stmt::Ascii(bytes) => put(bytes.of(&parsed.bytes), 1, &mut dcur),
                     Stmt::Space(n) => dcur += n,
                     Stmt::Align(n) => dcur = align_to(dcur, 1 << n),
                     _ => {}
@@ -247,7 +242,7 @@ pub(crate) fn encode(laid: Laid) -> Result<Image, AsmError> {
 // ---------------------------------------------------------------------------
 
 struct Ops<'a> {
-    operands: &'a [Operand],
+    operands: &'a [Operand<'a>],
     mnemonic: &'a str,
     line: u32,
 }
@@ -273,7 +268,7 @@ impl<'a> Ops<'a> {
         }
     }
 
-    fn val(&self, i: usize) -> Result<(Reloc, &Expr), AsmError> {
+    fn val(&self, i: usize) -> Result<(Reloc, &Expr<'a>), AsmError> {
         match self.operands.get(i) {
             Some(Operand::Val(reloc, expr)) => Ok((*reloc, expr)),
             other => Err(err(
@@ -287,7 +282,7 @@ impl<'a> Ops<'a> {
 /// Resolves `expr` to a value. In non-strict (sizing) mode, undefined
 /// symbols resolve to `None`.
 fn resolve(
-    expr: &Expr,
+    expr: &Expr<'_>,
     symbols: &SymbolTable,
     strict: bool,
     line: u32,
@@ -295,7 +290,7 @@ fn resolve(
     match expr {
         Expr::Imm(v) => Ok(Some(*v)),
         Expr::Sym(name, off) => match symbols.get(name) {
-            Some(addr) => Ok(Some(i64::from(addr) + off)),
+            Some(addr) => Ok(Some(i64::from(addr).wrapping_add(*off))),
             None if strict => Err(err(line, format!("undefined symbol `{name}`"))),
             None => Ok(None),
         },
@@ -313,7 +308,7 @@ fn check_u16(v: i64, line: u32, what: &str) -> Result<u16, AsmError> {
 /// True when `addr` can be addressed with a single signed 16-bit
 /// displacement off the global pointer.
 fn in_gp_window(addr: i64) -> bool {
-    let delta = addr - i64::from(GP_INIT);
+    let delta = addr.wrapping_sub(i64::from(GP_INIT));
     (-0x8000..=0x7fff).contains(&delta) && addr >= i64::from(abi::DATA_BASE)
 }
 
@@ -332,7 +327,7 @@ fn emit_li32(rd: Reg, value: u32, out: &mut Vec<Insn>) {
 #[allow(clippy::too_many_lines)]
 pub(crate) fn expand(
     mnemonic: &str,
-    operands: &[Operand],
+    operands: &[Operand<'_>],
     pc: u32,
     symbols: &SymbolTable,
     strict: bool,
@@ -361,7 +356,7 @@ pub(crate) fn expand(
                     return Ok(0);
                 };
                 let from = i64::from(pc) + i64::from(at_index) * 4 + 4;
-                let delta = target - from;
+                let delta = target.wrapping_sub(from);
                 if delta % 4 != 0 {
                     return Err(err(line, "branch target not word-aligned"));
                 }
@@ -422,7 +417,7 @@ pub(crate) fn expand(
                     if op != ImmOp::Addi {
                         return Err(err(line, "%gprel only valid with addi"));
                     }
-                    check_i16(v - i64::from(GP_INIT), line, "gp-relative offset")?
+                    check_i16(v.wrapping_sub(i64::from(GP_INIT)), line, "gp-relative offset")?
                 }
                 Reloc::Hi => return Err(err(line, "%hi only valid with lui")),
             };
@@ -806,6 +801,41 @@ mod tests {
     }
 
     #[test]
+    fn overflowing_values_do_not_panic() {
+        // Each of these overflowed i64 arithmetic, which panics in a
+        // debug build. Values and symbol offsets now wrap, as release
+        // builds always did, so both builds give these results.
+        for (src, ok) in [
+            (".text\nla $t0, -9223372036854775807\n", true),
+            (".text\nx: lui $t0, %hi(x+9223372036854775807)\n", true),
+            (".text\naddi $t0, $gp, %gprel(-9223372036854775807)\n", false),
+            (".data\nx: .word x+9223372036854775807\n", false),
+            (".text\nx: beq $t0, $t1, x-9223372036854775807\n", false),
+            (".data\n.word -0x-8000000000000000\n", false),
+        ] {
+            assert_eq!(crate::assemble(src).is_ok(), ok, "{src:?}");
+        }
+    }
+
+    #[test]
+    fn data_past_the_stack_region_is_an_error() {
+        // Four 1 GiB `.space` directives overflowed the data cursor: a
+        // panic in debug builds, an empty data segment in release builds.
+        let src = format!(".data\n{}.text\nnop\n", ".space 1073741824\n".repeat(4));
+        let e = crate::assemble(&src).unwrap_err();
+        assert_eq!((e.line(), e.message()), (3, "data segment runs into the stack region"));
+    }
+
+    #[test]
+    fn empty_half_aligns_like_layout() {
+        // Layout aligns an empty `.half` too, so the bytes after it land
+        // at the address their label was given.
+        let img = asm(".data\n.byte 1\n.half\nx: .byte 2\n");
+        assert_eq!(img.symbols.get("x"), Some(abi::DATA_BASE + 2));
+        assert_eq!(img.data, [1, 0, 2]);
+    }
+
+    #[test]
     fn sizing_matches_encoding_for_forward_refs() {
         // `la` of a forward text symbol must size to 2 in layout and
         // encode to 2 instructions.
@@ -859,7 +889,7 @@ mod tests {
 
     #[test]
     fn parse_then_layout_rejects_dup_data_symbol() {
-        let items = parse(".data\na: .word 1\na: .word 2\n").unwrap();
-        assert!(layout(items).is_err());
+        let parsed = parse(".data\na: .word 1\na: .word 2\n").unwrap();
+        assert!(layout(parsed).is_err());
     }
 }

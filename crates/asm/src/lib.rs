@@ -3,7 +3,8 @@
 //!
 //! Translates assembly text into an executable [`Image`] ready for the
 //! simulator. The assembler works in three phases: parse (line by line,
-//! with labels and directives), layout (assign addresses to data and text
+//! with labels and directives, in place: statements borrow their names
+//! from the source text), layout (assign addresses to data and text
 //! items; pseudo-instruction expansion sizes are decided here), and encode
 //! (resolve symbols and emit binary instruction words).
 //!
@@ -69,8 +70,8 @@ use instrep_isa::abi;
 /// mnemonics or directives, undefined or duplicate symbols, and
 /// out-of-range immediates or branch offsets.
 pub fn assemble(src: &str) -> Result<Image, AsmError> {
-    let items = parse::parse(src)?;
-    let laid = layout::layout(items)?;
+    let parsed = parse::parse(src)?;
+    let laid = layout::layout(parsed)?;
     let mut image = layout::encode(laid)?;
     image.entry = image.symbols.get("__start").unwrap_or(abi::TEXT_BASE);
     Ok(image)

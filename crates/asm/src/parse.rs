@@ -1,3 +1,14 @@
+//! The line parser: assembly text to statements that borrow from it.
+//!
+//! Labels, mnemonics and symbol names are slices of the source text. The
+//! operands of every instruction, the values of every `.word`, `.half`
+//! and `.byte`, and the bytes of every `.ascii`/`.asciiz` go into buffers
+//! shared by the whole file; a statement names its run in them with a
+//! [`Span`]. So no line allocates, except to lower-case a mnemonic that
+//! has an upper-case letter.
+
+use std::borrow::Cow;
+
 use instrep_isa::Reg;
 
 use crate::error::AsmError;
@@ -11,10 +22,10 @@ pub(crate) enum Section {
 
 /// A value expression in a data directive or immediate position:
 /// a constant, or a symbol plus constant offset.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) enum Expr {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Expr<'a> {
     Imm(i64),
-    Sym(String, i64),
+    Sym(&'a str, i64),
 }
 
 /// A relocation operator applied to a symbol expression.
@@ -31,119 +42,193 @@ pub(crate) enum Reloc {
 }
 
 /// One instruction operand as parsed.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) enum Operand {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Operand<'a> {
     Reg(Reg),
     /// Immediate or symbolic value with an optional relocation operator.
-    Val(Reloc, Expr),
+    Val(Reloc, Expr<'a>),
     /// `off(base)` memory reference.
     Mem {
-        off: Expr,
+        off: Expr<'a>,
         base: Reg,
     },
 }
 
+/// A run of entries in one of a [`Parsed`] file's shared buffers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Span {
+    start: usize,
+    end: usize,
+}
+
+impl Span {
+    /// The span from `start` to the end of `buf`.
+    fn to_end<T>(start: usize, buf: &[T]) -> Span {
+        Span { start, end: buf.len() }
+    }
+
+    /// Number of entries in the run.
+    pub(crate) fn len(self) -> usize {
+        self.end - self.start
+    }
+
+    /// The run's entries in `buf`.
+    pub(crate) fn of<T>(self, buf: &[T]) -> &[T] {
+        &buf[self.start..self.end]
+    }
+}
+
 /// A parsed statement.
 #[derive(Debug, Clone, PartialEq)]
-pub(crate) enum Stmt {
-    Label(String),
+pub(crate) enum Stmt<'a> {
+    Label(&'a str),
     Section(Section),
-    Word(Vec<Expr>),
-    Half(Vec<i64>),
-    Byte(Vec<i64>),
-    Ascii(Vec<u8>),
-    Asciiz(Vec<u8>),
+    /// `.word`, `.half` or `.byte` (`width` 4, 2 or 1): a run of
+    /// [`Parsed::values`]; those of `.half` and `.byte` are all `Imm`.
+    Values {
+        width: u32,
+        values: Span,
+    },
+    /// `.ascii`, or `.asciiz` with its terminating zero: a run of
+    /// [`Parsed::bytes`].
+    Ascii(Span),
     Space(u32),
     Align(u32),
     Func {
-        name: String,
+        name: &'a str,
         arity: u8,
     },
     EndFunc,
     /// `.loc N`: subsequent instructions originate from source line `N`.
     Loc(u32),
+    /// An instruction: its lower-cased mnemonic and a run of
+    /// [`Parsed::operands`].
     Insn {
-        mnemonic: String,
-        operands: Vec<Operand>,
+        mnemonic: Cow<'a, str>,
+        operands: Span,
     },
 }
 
 /// A statement with its source line for error reporting.
 #[derive(Debug, Clone, PartialEq)]
-pub(crate) struct Item {
+pub(crate) struct Item<'a> {
     pub line: u32,
-    pub stmt: Stmt,
+    pub stmt: Stmt<'a>,
+}
+
+/// A parsed source file: its statements in source order and the shared
+/// buffers their spans index.
+#[derive(Debug, Default)]
+pub(crate) struct Parsed<'a> {
+    pub items: Vec<Item<'a>>,
+    /// Every instruction's operands, end to end.
+    pub operands: Vec<Operand<'a>>,
+    /// Every `.word`, `.half` and `.byte` value, end to end.
+    pub values: Vec<Expr<'a>>,
+    /// Every `.ascii`/`.asciiz` string, end to end.
+    pub bytes: Vec<u8>,
 }
 
 fn err(line: u32, msg: impl Into<String>) -> AsmError {
     AsmError::new(line, msg)
 }
 
-/// Splits a statement body on top-level commas (quotes and parentheses
-/// protect commas inside them).
-fn split_operands(s: &str) -> Vec<&str> {
-    let mut out = Vec::new();
+/// Byte offset of the first comma in `s` outside quotes and parentheses.
+/// Every byte it matches is ASCII, so the offset is a char boundary.
+fn top_level_comma(s: &str) -> Option<usize> {
+    let bytes = s.as_bytes();
+    // Before the first quote or parenthesis, a comma is top-level.
+    let start = bytes.iter().position(|&b| matches!(b, b',' | b'(' | b'"' | b'\''))?;
+    if bytes[start] == b',' {
+        return Some(start);
+    }
     let mut depth = 0usize;
     let mut in_str = false;
     let mut in_char = false;
     let mut escaped = false;
-    let mut start = 0usize;
-    for (i, c) in s.char_indices() {
+    for (i, &b) in bytes.iter().enumerate().skip(start) {
         if escaped {
             escaped = false;
             continue;
         }
-        match c {
-            '\\' if in_str || in_char => escaped = true,
-            '"' if !in_char => in_str = !in_str,
-            '\'' if !in_str => in_char = !in_char,
-            '(' if !in_str && !in_char => depth += 1,
-            ')' if !in_str && !in_char => depth = depth.saturating_sub(1),
-            ',' if !in_str && !in_char && depth == 0 => {
-                out.push(s[start..i].trim());
-                start = i + 1;
-            }
+        match b {
+            b'\\' if in_str || in_char => escaped = true,
+            b'"' if !in_char => in_str = !in_str,
+            b'\'' if !in_str => in_char = !in_char,
+            b'(' if !in_str && !in_char => depth += 1,
+            b')' if !in_str && !in_char => depth = depth.saturating_sub(1),
+            b',' if !in_str && !in_char && depth == 0 => return Some(i),
             _ => {}
         }
     }
-    let last = s[start..].trim();
-    if !last.is_empty() || !out.is_empty() {
-        out.push(last);
-    }
-    out
+    None
+}
+
+/// The top-level comma-separated fields of a statement body, each
+/// trimmed (quotes and parentheses protect commas inside them). A body
+/// that is empty or all whitespace has no fields.
+fn fields(body: &str) -> impl Iterator<Item = &str> {
+    let mut rest = (!body.trim().is_empty()).then_some(body);
+    std::iter::from_fn(move || {
+        let s = rest?;
+        Some(match top_level_comma(s) {
+            Some(i) => {
+                rest = Some(&s[i + 1..]);
+                s[..i].trim()
+            }
+            None => {
+                rest = None;
+                s.trim()
+            }
+        })
+    })
 }
 
 /// Strips `#` / `//` comments outside string and character literals.
 fn strip_comment(line: &str) -> &str {
+    let bytes = line.as_bytes();
+    // Before the first quote or comment marker there is nothing to track.
+    let Some(start) = bytes.iter().position(|&b| matches!(b, b'#' | b'/' | b'"' | b'\'')) else {
+        return line;
+    };
     let mut in_str = false;
     let mut in_char = false;
     let mut escaped = false;
-    let bytes = line.as_bytes();
-    let mut i = 0;
-    while i < bytes.len() {
-        let c = bytes[i] as char;
+    for (i, &b) in bytes.iter().enumerate().skip(start) {
         if escaped {
             escaped = false;
-            i += 1;
             continue;
         }
-        match c {
-            '\\' if in_str || in_char => escaped = true,
-            '"' if !in_char => in_str = !in_str,
-            '\'' if !in_str => in_char = !in_char,
-            '#' if !in_str && !in_char => return &line[..i],
-            '/' if !in_str && !in_char && bytes.get(i + 1) == Some(&b'/') => return &line[..i],
+        match b {
+            b'\\' if in_str || in_char => escaped = true,
+            b'"' if !in_char => in_str = !in_str,
+            b'\'' if !in_str => in_char = !in_char,
+            b'#' if !in_str && !in_char => return &line[..i],
+            b'/' if !in_str && !in_char && bytes.get(i + 1) == Some(&b'/') => return &line[..i],
             _ => {}
         }
-        i += 1;
     }
     line
 }
 
+/// Whether `s` is a symbol name: a letter, `_` or `.`, then letters,
+/// digits, `_`, `.` or `$`.
 fn is_ident(s: &str) -> bool {
-    !s.is_empty()
-        && s.chars().next().is_some_and(|c| c.is_ascii_alphabetic() || c == '_' || c == '.')
-        && s.chars().all(|c| c.is_ascii_alphanumeric() || c == '_' || c == '.' || c == '$')
+    match s.as_bytes() {
+        [first, rest @ ..] => {
+            (first.is_ascii_alphabetic() || matches!(first, b'_' | b'.'))
+                && rest.iter().all(|b| b.is_ascii_alphanumeric() || matches!(b, b'_' | b'.' | b'$'))
+        }
+        [] => false,
+    }
+}
+
+/// Splits a leading `name:` label off a trimmed line: the name, and the
+/// trimmed rest of the line after the colon.
+fn split_label(s: &str) -> Option<(&str, &str)> {
+    let colon = s.find(':')?;
+    let name = s[..colon].trim();
+    is_ident(name).then(|| (name, s[colon + 1..].trim()))
 }
 
 /// Parses an integer literal: decimal, `0x` hex, `0b` binary, `'c'` char,
@@ -163,50 +248,60 @@ pub(crate) fn parse_int(s: &str, line: u32) -> Result<i64, AsmError> {
             .strip_prefix('\'')
             .and_then(|b| b.strip_suffix('\''))
             .ok_or_else(|| err(line, format!("bad char literal `{s}`")))?;
-        let bytes = unescape(inner, line)?;
-        if bytes.len() != 1 {
+        let (mut n, mut first) = (0usize, 0u8);
+        unescape(inner, line, |b| {
+            if n == 0 {
+                first = b;
+            }
+            n += 1;
+        })?;
+        if n != 1 {
             return Err(err(line, format!("char literal `{s}` must be one byte")));
         }
-        i64::from(bytes[0])
+        i64::from(first)
     } else {
         body.parse::<i64>().map_err(|_| err(line, format!("bad integer literal `{s}`")))?
     };
-    Ok(if neg { -v } else { v })
+    // A body with its own sign can be `i64::MIN` (`-0x-8000000000000000`).
+    Ok(if neg { v.wrapping_neg() } else { v })
 }
 
 /// Parses `sym`, `sym+N`, `sym-N`, or a bare integer into an [`Expr`].
-fn parse_expr(s: &str, line: u32) -> Result<Expr, AsmError> {
+fn parse_expr(s: &str, line: u32) -> Result<Expr<'_>, AsmError> {
     let s = s.trim();
-    if s.is_empty() {
+    let Some(&first) = s.as_bytes().first() else {
         return Err(err(line, "empty expression"));
-    }
-    let first = s.chars().next().unwrap();
-    if first.is_ascii_digit() || first == '-' || first == '\'' {
+    };
+    if first.is_ascii_digit() || first == b'-' || first == b'\'' {
         return Ok(Expr::Imm(parse_int(s, line)?));
     }
     // Symbol with optional +/- offset.
-    if let Some(pos) = s.find(['+', '-']) {
+    if let Some(pos) = s.bytes().position(|b| b == b'+' || b == b'-') {
         let (name, off) = s.split_at(pos);
         let name = name.trim();
         if !is_ident(name) {
             return Err(err(line, format!("bad symbol `{name}`")));
         }
-        return Ok(Expr::Sym(name.to_string(), parse_int(off, line)?));
+        return Ok(Expr::Sym(name, parse_int(off, line)?));
     }
     if !is_ident(s) {
         return Err(err(line, format!("bad symbol `{s}`")));
     }
-    Ok(Expr::Sym(s.to_string(), 0))
+    Ok(Expr::Sym(s, 0))
+}
+
+fn parse_reg(s: &str, line: u32) -> Result<Reg, AsmError> {
+    s.parse::<Reg>().map_err(|e| err(line, e.to_string()))
 }
 
 /// Parses one instruction operand.
-fn parse_operand(s: &str, line: u32) -> Result<Operand, AsmError> {
+fn parse_operand(s: &str, line: u32) -> Result<Operand<'_>, AsmError> {
     let s = s.trim();
     if s.is_empty() {
         return Err(err(line, "empty operand"));
     }
     if s.starts_with('$') {
-        return Ok(Operand::Reg(s.parse::<Reg>().map_err(|e| err(line, e.to_string()))?));
+        return Ok(Operand::Reg(parse_reg(s, line)?));
     }
     // Relocation operators.
     for (prefix, reloc) in [("%hi(", Reloc::Hi), ("%lo(", Reloc::Lo), ("%gprel(", Reloc::GpRel)] {
@@ -218,29 +313,27 @@ fn parse_operand(s: &str, line: u32) -> Result<Operand, AsmError> {
     }
     // off(base) memory reference.
     if let Some(open) = s.find('(') {
-        if s.ends_with(')') {
+        if let Some(inside) = s.strip_suffix(')') {
             let off_str = s[..open].trim();
-            let base_str = s[open + 1..s.len() - 1].trim();
             let off = if off_str.is_empty() { Expr::Imm(0) } else { parse_expr(off_str, line)? };
-            let base = base_str.parse::<Reg>().map_err(|e| err(line, e.to_string()))?;
+            let base = parse_reg(inside[open + 1..].trim(), line)?;
             return Ok(Operand::Mem { off, base });
         }
     }
     Ok(Operand::Val(Reloc::None, parse_expr(s, line)?))
 }
 
-/// Decodes the escapes in a string/char literal body.
-fn unescape(s: &str, line: u32) -> Result<Vec<u8>, AsmError> {
-    let mut out = Vec::with_capacity(s.len());
+/// Decodes the escapes in a string/char literal body, passing each byte
+/// to `push`.
+fn unescape(s: &str, line: u32, mut push: impl FnMut(u8)) -> Result<(), AsmError> {
     let mut chars = s.chars();
     while let Some(c) = chars.next() {
         if c != '\\' {
-            let mut buf = [0u8; 4];
-            out.extend_from_slice(c.encode_utf8(&mut buf).as_bytes());
+            c.encode_utf8(&mut [0; 4]).bytes().for_each(&mut push);
             continue;
         }
         let esc = chars.next().ok_or_else(|| err(line, "dangling escape"))?;
-        out.push(match esc {
+        push(match esc {
             'n' => b'\n',
             't' => b'\t',
             'r' => b'\r',
@@ -251,39 +344,52 @@ fn unescape(s: &str, line: u32) -> Result<Vec<u8>, AsmError> {
             other => return Err(err(line, format!("unknown escape `\\{other}`"))),
         });
     }
-    Ok(out)
+    Ok(())
 }
 
-fn parse_string_literal(s: &str, line: u32) -> Result<Vec<u8>, AsmError> {
+/// Appends the bytes of the string literal `s` to `out`.
+fn parse_string_literal(s: &str, line: u32, out: &mut Vec<u8>) -> Result<(), AsmError> {
     let inner = s
         .trim()
         .strip_prefix('"')
         .and_then(|b| b.strip_suffix('"'))
         .ok_or_else(|| err(line, format!("expected string literal, got `{s}`")))?;
-    unescape(inner, line)
+    unescape(inner, line, |b| out.push(b))
 }
 
-fn parse_int_list(body: &str, line: u32) -> Result<Vec<i64>, AsmError> {
-    split_operands(body).into_iter().map(|p| parse_int(p, line)).collect()
-}
-
-fn parse_directive(dir: &str, body: &str, line: u32) -> Result<Option<Stmt>, AsmError> {
+fn parse_directive<'a>(
+    dir: &str,
+    body: &'a str,
+    line: u32,
+    p: &mut Parsed<'a>,
+) -> Result<Option<Stmt<'a>>, AsmError> {
     let stmt = match dir {
         ".text" => Stmt::Section(Section::Text),
         ".data" => Stmt::Section(Section::Data),
-        ".word" => Stmt::Word(
-            split_operands(body)
-                .into_iter()
-                .map(|p| parse_expr(p, line))
-                .collect::<Result<_, _>>()?,
-        ),
-        ".half" => Stmt::Half(parse_int_list(body, line)?),
-        ".byte" => Stmt::Byte(parse_int_list(body, line)?),
-        ".ascii" => Stmt::Ascii(parse_string_literal(body, line)?),
-        ".asciiz" => {
-            let mut bytes = parse_string_literal(body, line)?;
-            bytes.push(0);
-            Stmt::Asciiz(bytes)
+        ".word" | ".half" | ".byte" => {
+            let width = match dir {
+                ".word" => 4,
+                ".half" => 2,
+                _ => 1,
+            };
+            let start = p.values.len();
+            for field in fields(body) {
+                // Only words may name a symbol.
+                p.values.push(if width == 4 {
+                    parse_expr(field, line)?
+                } else {
+                    Expr::Imm(parse_int(field, line)?)
+                });
+            }
+            Stmt::Values { width, values: Span::to_end(start, &p.values) }
+        }
+        ".ascii" | ".asciiz" => {
+            let start = p.bytes.len();
+            parse_string_literal(body, line, &mut p.bytes)?;
+            if dir == ".asciiz" {
+                p.bytes.push(0);
+            }
+            Stmt::Ascii(Span::to_end(start, &p.bytes))
         }
         ".space" => {
             let n = parse_int(body, line)?;
@@ -301,18 +407,18 @@ fn parse_directive(dir: &str, body: &str, line: u32) -> Result<Option<Stmt>, Asm
         }
         ".globl" | ".global" | ".ent" | ".end" | ".set" => return Ok(None), // accepted, ignored
         ".func" => {
-            let parts = split_operands(body);
-            if parts.len() != 2 {
+            let mut parts = fields(body);
+            let (Some(name), Some(arity), None) = (parts.next(), parts.next(), parts.next()) else {
                 return Err(err(line, ".func expects `name, arity`"));
+            };
+            if !is_ident(name) {
+                return Err(err(line, format!("bad function name `{name}`")));
             }
-            if !is_ident(parts[0]) {
-                return Err(err(line, format!("bad function name `{}`", parts[0])));
-            }
-            let arity = parse_int(parts[1], line)?;
+            let arity = parse_int(arity, line)?;
             if !(0..=16).contains(&arity) {
                 return Err(err(line, format!("arity {arity} out of range")));
             }
-            Stmt::Func { name: parts[0].to_string(), arity: arity as u8 }
+            Stmt::Func { name, arity: arity as u8 }
         }
         ".endfunc" => Stmt::EndFunc,
         ".loc" => {
@@ -329,21 +435,16 @@ fn parse_directive(dir: &str, body: &str, line: u32) -> Result<Option<Stmt>, Asm
     Ok(Some(stmt))
 }
 
-/// Parses source text into a list of items.
-pub(crate) fn parse(src: &str) -> Result<Vec<Item>, AsmError> {
-    let mut items = Vec::new();
+/// Parses source text into its statements.
+pub(crate) fn parse(src: &str) -> Result<Parsed<'_>, AsmError> {
+    let mut p = Parsed::default();
     for (idx, raw) in src.lines().enumerate() {
         let line = (idx + 1) as u32;
         let mut rest = strip_comment(raw).trim();
         // Leading labels.
-        while let Some(colon) = rest.find(':') {
-            let (head, tail) = rest.split_at(colon);
-            let head = head.trim();
-            if !is_ident(head) {
-                break;
-            }
-            items.push(Item { line, stmt: Stmt::Label(head.to_string()) });
-            rest = tail[1..].trim();
+        while let Some((label, tail)) = split_label(rest) {
+            p.items.push(Item { line, stmt: Stmt::Label(label) });
+            rest = tail;
         }
         if rest.is_empty() {
             continue;
@@ -352,45 +453,66 @@ pub(crate) fn parse(src: &str) -> Result<Vec<Item>, AsmError> {
             Some(pos) => (&rest[..pos], rest[pos..].trim()),
             None => (rest, ""),
         };
-        if head.starts_with('.') {
-            if let Some(stmt) = parse_directive(head, body, line)? {
-                items.push(Item { line, stmt });
+        let stmt = if head.starts_with('.') {
+            match parse_directive(head, body, line, &mut p)? {
+                Some(stmt) => stmt,
+                None => continue,
             }
         } else {
-            let operands = if body.is_empty() {
-                Vec::new()
+            let start = p.operands.len();
+            for field in fields(body) {
+                p.operands.push(parse_operand(field, line)?);
+            }
+            let mnemonic = if head.bytes().any(|b| b.is_ascii_uppercase()) {
+                Cow::Owned(head.to_ascii_lowercase())
             } else {
-                split_operands(body)
-                    .into_iter()
-                    .map(|p| parse_operand(p, line))
-                    .collect::<Result<_, _>>()?
+                Cow::Borrowed(head)
             };
-            items.push(Item {
-                line,
-                stmt: Stmt::Insn { mnemonic: head.to_ascii_lowercase(), operands },
-            });
-        }
+            Stmt::Insn { mnemonic, operands: Span::to_end(start, &p.operands) }
+        };
+        p.items.push(Item { line, stmt });
     }
-    Ok(items)
+    Ok(p)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn labels_and_comments() {
-        let items = parse("a: b: add $v0, $a0, $a1 # sum\n// whole-line\n").unwrap();
-        assert_eq!(items.len(), 3);
-        assert_eq!(items[0].stmt, Stmt::Label("a".into()));
-        assert_eq!(items[1].stmt, Stmt::Label("b".into()));
-        match &items[2].stmt {
-            Stmt::Insn { mnemonic, operands } => {
-                assert_eq!(mnemonic, "add");
-                assert_eq!(operands.len(), 3);
-            }
+    /// The operands of the instruction at `items[i]`.
+    fn operands<'p>(p: &'p Parsed<'_>, i: usize) -> &'p [Operand<'p>] {
+        match &p.items[i].stmt {
+            Stmt::Insn { operands, .. } => operands.of(&p.operands),
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    #[test]
+    fn labels_and_comments() {
+        let p = parse("a: b: add $v0, $a0, $a1 # sum\n// whole-line\n").unwrap();
+        assert_eq!(p.items.len(), 3);
+        assert_eq!(p.items[0].stmt, Stmt::Label("a"));
+        assert_eq!(p.items[1].stmt, Stmt::Label("b"));
+        assert_eq!(
+            p.items[2].stmt,
+            Stmt::Insn { mnemonic: Cow::Borrowed("add"), operands: Span { start: 0, end: 3 } }
+        );
+        assert_eq!(operands(&p, 2), [Reg::V0, Reg::A0, Reg::A1].map(Operand::Reg));
+    }
+
+    #[test]
+    fn mnemonics_are_lower_cased() {
+        let p = parse("ADD $v0, $a0, $a1\nNop\nnop").unwrap();
+        let mnemonics: Vec<_> = p
+            .items
+            .iter()
+            .map(|item| match &item.stmt {
+                Stmt::Insn { mnemonic, .. } => mnemonic.clone(),
+                other => panic!("unexpected {other:?}"),
+            })
+            .collect();
+        assert_eq!(mnemonics, ["add", "nop", "nop"]);
+        assert!(matches!(mnemonics[2], Cow::Borrowed(_)), "a lower-case mnemonic is borrowed");
     }
 
     #[test]
@@ -405,62 +527,51 @@ mod tests {
             .align 2
             .globl main
         "#;
-        let items = parse(src).unwrap();
-        let kinds: Vec<_> = items.iter().map(|i| &i.stmt).collect();
-        assert!(matches!(kinds[0], Stmt::Section(Section::Data)));
-        match kinds[1] {
-            Stmt::Word(es) => {
-                assert_eq!(es[0], Expr::Imm(1));
-                assert_eq!(es[1], Expr::Imm(-2));
-                assert_eq!(es[2], Expr::Imm(16));
-                assert_eq!(es[3], Expr::Sym("sym".into(), 0));
-                assert_eq!(es[4], Expr::Sym("sym".into(), 8));
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        match kinds[2] {
-            Stmt::Byte(bs) => assert_eq!(bs, &[i64::from(b'a'), 10, 255]),
-            other => panic!("unexpected {other:?}"),
-        }
-        match kinds[4] {
-            Stmt::Asciiz(bs) => assert_eq!(bs, &[b'h', b'i', 0, b'\\', 0]),
-            other => panic!("unexpected {other:?}"),
-        }
-        assert!(matches!(kinds[5], Stmt::Space(16)));
-        assert!(matches!(kinds[6], Stmt::Align(2)));
-        assert_eq!(items.len(), 7); // .globl dropped
+        let p = parse(src).unwrap();
+        let stmts: Vec<_> = p.items.iter().map(|i| &i.stmt).collect();
+        assert_eq!(stmts[0], &Stmt::Section(Section::Data));
+        assert_eq!(stmts[1], &Stmt::Values { width: 4, values: Span { start: 0, end: 5 } });
+        assert_eq!(stmts[2], &Stmt::Values { width: 1, values: Span { start: 5, end: 8 } });
+        assert_eq!(stmts[3], &Stmt::Values { width: 2, values: Span { start: 8, end: 9 } });
+        assert_eq!(
+            p.values,
+            [
+                Expr::Imm(1),
+                Expr::Imm(-2),
+                Expr::Imm(16),
+                Expr::Sym("sym", 0),
+                Expr::Sym("sym", 8),
+                Expr::Imm(i64::from(b'a')),
+                Expr::Imm(10),
+                Expr::Imm(255),
+                Expr::Imm(1000),
+            ]
+        );
+        assert_eq!(stmts[4], &Stmt::Ascii(Span { start: 0, end: 5 }));
+        assert_eq!(p.bytes, [b'h', b'i', 0, b'\\', 0]);
+        assert_eq!(stmts[5], &Stmt::Space(16));
+        assert_eq!(stmts[6], &Stmt::Align(2));
+        assert_eq!(stmts.len(), 7); // .globl dropped
     }
 
     #[test]
     fn operand_forms() {
-        let items = parse("lw $t0, -8($sp)\nlui $t1, %hi(tab)\naddi $t2, $gp, %gprel(x)").unwrap();
-        match &items[0].stmt {
-            Stmt::Insn { operands, .. } => {
-                assert_eq!(operands[0], Operand::Reg(Reg::T0));
-                assert_eq!(operands[1], Operand::Mem { off: Expr::Imm(-8), base: Reg::SP });
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        match &items[1].stmt {
-            Stmt::Insn { operands, .. } => {
-                assert_eq!(operands[1], Operand::Val(Reloc::Hi, Expr::Sym("tab".into(), 0)));
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        match &items[2].stmt {
-            Stmt::Insn { operands, .. } => {
-                assert_eq!(operands[2], Operand::Val(Reloc::GpRel, Expr::Sym("x".into(), 0)));
-            }
-            other => panic!("unexpected {other:?}"),
-        }
+        let p = parse("lw $t0, -8($sp)\nlui $t1, %hi(tab)\naddi $t2, $gp, %gprel(x)").unwrap();
+        assert_eq!(
+            operands(&p, 0),
+            [Operand::Reg(Reg::T0), Operand::Mem { off: Expr::Imm(-8), base: Reg::SP }]
+        );
+        assert_eq!(operands(&p, 1)[1], Operand::Val(Reloc::Hi, Expr::Sym("tab", 0)));
+        assert_eq!(operands(&p, 2)[2], Operand::Val(Reloc::GpRel, Expr::Sym("x", 0)));
     }
 
     #[test]
     fn func_directives() {
-        let items = parse(".func foo, 3\n.endfunc").unwrap();
-        assert_eq!(items[0].stmt, Stmt::Func { name: "foo".into(), arity: 3 });
-        assert_eq!(items[1].stmt, Stmt::EndFunc);
+        let p = parse(".func foo, 3\n.endfunc").unwrap();
+        assert_eq!(p.items[0].stmt, Stmt::Func { name: "foo", arity: 3 });
+        assert_eq!(p.items[1].stmt, Stmt::EndFunc);
         assert!(parse(".func foo").is_err());
+        assert!(parse(".func foo, 3, 4").is_err());
         assert!(parse(".func foo, 99").is_err());
     }
 
@@ -482,14 +593,24 @@ mod tests {
         assert_eq!(parse_int("-0x10", 1).unwrap(), -16);
         assert_eq!(parse_int("0b101", 1).unwrap(), 5);
         assert!(parse_int("''", 1).is_err());
+        assert!(parse_int("'ab'", 1).is_err());
+        assert_eq!(parse_int("-0x-8000000000000000", 1).unwrap(), i64::MIN);
     }
 
     #[test]
     fn commas_in_strings_protected() {
-        let items = parse(r#".asciiz "a,b""#).unwrap();
-        match &items[0].stmt {
-            Stmt::Asciiz(bs) => assert_eq!(bs, &[b'a', b',', b'b', 0]),
-            other => panic!("unexpected {other:?}"),
-        }
+        let p = parse(r#".asciiz "a,b""#).unwrap();
+        assert_eq!(p.items[0].stmt, Stmt::Ascii(Span { start: 0, end: 4 }));
+        assert_eq!(p.bytes, [b'a', b',', b'b', 0]);
+    }
+
+    #[test]
+    fn fields_split_at_top_level_commas() {
+        let split = |s| fields(s).collect::<Vec<_>>();
+        assert_eq!(split(""), [""; 0]);
+        assert_eq!(split("  "), [""; 0]);
+        assert_eq!(split("a"), ["a"]);
+        assert_eq!(split(" a , b(c, d) ,'x,' "), ["a", "b(c, d)", "'x,'"]);
+        assert_eq!(split("a,,"), ["a", "", ""]);
     }
 }

@@ -158,19 +158,26 @@ impl FromStr for Reg {
     /// Parses `$name`, `name`, `$N`, or `N` forms (e.g. `$sp`, `t3`, `$7`).
     fn from_str(s: &str) -> Result<Reg, ParseRegError> {
         let bare = s.strip_prefix('$').unwrap_or(s);
-        if let Some(i) = NAMES.iter().position(|n| *n == bare) {
-            return Ok(Reg(i as u8));
-        }
-        if let Ok(n) = bare.parse::<u8>() {
-            if let Some(r) = Reg::new(n) {
-                return Ok(r);
-            }
-        }
-        // Alternate spelling used by some MIPS assemblers.
-        if bare == "s8" {
-            return Ok(Reg::FP);
-        }
-        Err(ParseRegError { name: s.to_string() })
+        let n = match *bare.as_bytes() {
+            [b'z', b'e', b'r', b'o'] => 0,
+            [b'a', b't'] => 1,
+            [b'v', d @ b'0'..=b'1'] => 2 + (d - b'0'),
+            [b'a', d @ b'0'..=b'3'] => 4 + (d - b'0'),
+            [b't', d @ b'0'..=b'7'] => 8 + (d - b'0'),
+            [b's', d @ b'0'..=b'7'] => 16 + (d - b'0'),
+            [b't', d @ b'8'..=b'9'] => 24 + (d - b'8'),
+            [b'k', d @ b'0'..=b'1'] => 26 + (d - b'0'),
+            [b'g', b'p'] => 28,
+            [b's', b'p'] => 29,
+            // `s8` is the alternate spelling some MIPS assemblers use.
+            [b'f', b'p'] | [b's', b'8'] => 30,
+            [b'r', b'a'] => 31,
+            _ => match bare.parse::<u8>() {
+                Ok(n) if n < 32 => n,
+                _ => return Err(ParseRegError { name: s.to_string() }),
+            },
+        };
+        Ok(Reg(n))
     }
 }
 
@@ -205,5 +212,17 @@ mod tests {
     #[test]
     fn s8_alias() {
         assert_eq!("s8".parse::<Reg>().unwrap(), Reg::FP);
+    }
+
+    #[test]
+    fn names_parse_to_their_number() {
+        for (i, name) in NAMES.iter().enumerate() {
+            assert_eq!(name.parse::<Reg>().unwrap().number() as usize, i, "{name}");
+        }
+        for bad in ["", "$", "$$sp", "t10", "s9", "v2", "a4", "k2", "Sp", "zer", "zeros", "32"] {
+            assert!(bad.parse::<Reg>().is_err(), "{bad}");
+        }
+        assert_eq!("+5".parse::<Reg>().unwrap(), Reg::A1);
+        assert_eq!("$07".parse::<Reg>().unwrap(), Reg::A3);
     }
 }

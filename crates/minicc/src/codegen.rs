@@ -13,7 +13,7 @@
 //! * the first four arguments travel in `$a0..$a3`, the rest in the
 //!   caller's outgoing-argument area at `sp+16`.
 
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 
 use instrep_isa::Reg;
 
@@ -81,8 +81,7 @@ fn emit_data(program: &Program, out: &mut String) {
                 let mut padded: Vec<i64> = vals.clone();
                 padded.resize(n as usize, 0);
                 for chunk in padded.chunks(16) {
-                    let row: Vec<String> = chunk.iter().map(|v| v.to_string()).collect();
-                    let _ = writeln!(out, "    {dir} {}", row.join(", "));
+                    emit_row(out, dir, chunk);
                 }
             }
             GlobalInit::Str(bytes) => {
@@ -100,8 +99,42 @@ fn emit_data(program: &Program, out: &mut String) {
 
 fn emit_bytes(out: &mut String, bytes: &[u8]) {
     for chunk in bytes.chunks(16) {
-        let row: Vec<String> = chunk.iter().map(|b| b.to_string()).collect();
-        let _ = writeln!(out, "    .byte {}", row.join(", "));
+        emit_row(out, ".byte", chunk);
+    }
+}
+
+/// Writes one data directive line: `dir` and the comma-separated `row`.
+fn emit_row<T: fmt::Display>(out: &mut String, dir: &str, row: &[T]) {
+    let _ = write!(out, "    {dir} ");
+    for (i, v) in row.iter().enumerate() {
+        if i > 0 {
+            out.push_str(", ");
+        }
+        let _ = write!(out, "{v}");
+    }
+    out.push('\n');
+}
+
+/// Writes one indented instruction line, formatting its arguments
+/// straight into the generator's output buffer.
+macro_rules! emit {
+    ($gen:expr, $($fmt:tt)+) => {{
+        $gen.out.push_str("    ");
+        let _ = writeln!($gen.out, $($fmt)+);
+    }};
+}
+
+/// A local label, written `.L{func}_{tag}{n}` where it is used.
+#[derive(Clone, Copy)]
+struct Label<'a> {
+    func: &'a str,
+    tag: &'static str,
+    n: u32,
+}
+
+impl fmt::Display for Label<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, ".L{}_{}{}", self.func, self.tag, self.n)
     }
 }
 
@@ -129,7 +162,7 @@ struct FnGen<'a> {
     ra_off: Option<u32>,
     sreg_save_base: u32,
     /// (continue label, break label) stack.
-    loops: Vec<(String, String)>,
+    loops: Vec<(Label<'a>, Label<'a>)>,
     /// Source line of the last `.loc` marker emitted (0 = none yet).
     cur_loc: u32,
 }
@@ -200,15 +233,8 @@ impl<'a> FnGen<'a> {
         })
     }
 
-    fn emit(&mut self, line: impl AsRef<str>) {
-        self.out.push_str("    ");
-        self.out.push_str(line.as_ref());
-        self.out.push('\n');
-    }
-
-    fn label(&mut self, l: &str) {
-        self.out.push_str(l);
-        self.out.push_str(":\n");
+    fn label(&mut self, l: Label<'_>) {
+        let _ = writeln!(self.out, "{l}:");
     }
 
     /// Emits a `.loc` source-line marker, deduplicating consecutive
@@ -220,13 +246,10 @@ impl<'a> FnGen<'a> {
         }
     }
 
-    fn fresh_label(&mut self, tag: &str) -> String {
+    fn fresh_label(&mut self, tag: &'static str) -> Label<'a> {
         self.labels += 1;
-        format!(".L{}_{}{}", self.func.name, tag, self.labels)
-    }
-
-    fn epilogue_label(&self) -> String {
-        format!(".L{}_epi", self.func.name)
+        let func: &'a Func = self.func;
+        Label { func: &func.name, tag, n: self.labels }
     }
 
     // -- evaluation stack ------------------------------------------------
@@ -253,16 +276,17 @@ impl<'a> FnGen<'a> {
     // -- function body ---------------------------------------------------
 
     fn run(mut self) -> Result<(), CompileError> {
-        let _ = writeln!(self.out, ".func {}, {}", self.func.name, self.func.arity);
-        self.label(&self.func.name.clone());
-        self.loc(self.func.line);
+        let func = self.func;
+        let _ = writeln!(self.out, ".func {}, {}", func.name, func.arity);
+        let _ = writeln!(self.out, "{}:", func.name);
+        self.loc(func.line);
 
         // Prologue.
         if self.frame > 0 {
-            self.emit(format!("addi $sp, $sp, -{}", self.frame));
+            emit!(self, "addi $sp, $sp, -{}", self.frame);
         }
         if let Some(off) = self.ra_off {
-            self.emit(format!("sw $ra, {off}($sp)"));
+            emit!(self, "sw $ra, {off}($sp)");
         }
         let saves: Vec<(Reg, u32)> = self
             .sregs_used
@@ -271,7 +295,7 @@ impl<'a> FnGen<'a> {
             .map(|(i, &s)| (s, self.sreg_save_base + 4 * i as u32))
             .collect();
         for &(s, off) in &saves {
-            self.emit(format!("sw {s}, {off}($sp)"));
+            emit!(self, "sw {s}, {off}($sp)");
         }
 
         // Move parameters to their homes.
@@ -280,41 +304,40 @@ impl<'a> FnGen<'a> {
             if i < 4 {
                 let a = Reg::arg(i).expect("register argument");
                 match home {
-                    Home::SReg(s) => self.emit(format!("move {s}, {a}")),
-                    Home::Stack(off) => self.emit(format!("sw {a}, {off}($sp)")),
+                    Home::SReg(s) => emit!(self, "move {s}, {a}"),
+                    Home::Stack(off) => emit!(self, "sw {a}, {off}($sp)"),
                 }
             } else {
                 let in_off = self.frame + 16 + 4 * (i as u32 - 4);
                 match home {
-                    Home::SReg(s) => self.emit(format!("lw {s}, {in_off}($sp)")),
+                    Home::SReg(s) => emit!(self, "lw {s}, {in_off}($sp)"),
                     Home::Stack(off) => {
-                        self.emit(format!("lw $t0, {in_off}($sp)"));
-                        self.emit(format!("sw $t0, {off}($sp)"));
+                        emit!(self, "lw $t0, {in_off}($sp)");
+                        emit!(self, "sw $t0, {off}($sp)");
                     }
                 }
             }
         }
 
-        let body = self.func.body.clone();
-        for stmt in &body {
+        for stmt in &func.body {
             self.stmt(stmt)?;
         }
 
         // Fall-through return value defaults to 0.
         if self.func.ret != Type::Void {
-            self.emit("addi $v0, $zero, 0");
+            emit!(self, "addi $v0, $zero, 0");
         }
-        self.label(&self.epilogue_label());
+        let _ = writeln!(self.out, ".L{}_epi:", func.name);
         for &(s, off) in &saves {
-            self.emit(format!("lw {s}, {off}($sp)"));
+            emit!(self, "lw {s}, {off}($sp)");
         }
         if let Some(off) = self.ra_off {
-            self.emit(format!("lw $ra, {off}($sp)"));
+            emit!(self, "lw $ra, {off}($sp)");
         }
         if self.frame > 0 {
-            self.emit(format!("addi $sp, $sp, {}", self.frame));
+            emit!(self, "addi $sp, $sp, {}", self.frame);
         }
-        self.emit("jr $ra");
+        emit!(self, "jr $ra");
         self.out.push_str(".endfunc\n");
         Ok(())
     }
@@ -340,29 +363,29 @@ impl<'a> FnGen<'a> {
             }
             Stmt::If { cond, then, els } => {
                 let lfalse = self.fresh_label("else");
-                self.branch(cond, &lfalse, false)?;
+                self.branch(cond, lfalse, false)?;
                 self.stmt(then)?;
                 if let Some(els) = els {
                     let lend = self.fresh_label("endif");
-                    self.emit(format!("b {lend}"));
-                    self.label(&lfalse);
+                    emit!(self, "b {lend}");
+                    self.label(lfalse);
                     self.stmt(els)?;
-                    self.label(&lend);
+                    self.label(lend);
                 } else {
-                    self.label(&lfalse);
+                    self.label(lfalse);
                 }
                 Ok(())
             }
             Stmt::While { cond, body } => {
                 let ltop = self.fresh_label("while");
                 let lend = self.fresh_label("endwhile");
-                self.label(&ltop);
-                self.branch(cond, &lend, false)?;
-                self.loops.push((ltop.clone(), lend.clone()));
+                self.label(ltop);
+                self.branch(cond, lend, false)?;
+                self.loops.push((ltop, lend));
                 self.stmt(body)?;
                 self.loops.pop();
-                self.emit(format!("b {ltop}"));
-                self.label(&lend);
+                emit!(self, "b {ltop}");
+                self.label(lend);
                 Ok(())
             }
             Stmt::For { init, cond, step, body } => {
@@ -373,50 +396,45 @@ impl<'a> FnGen<'a> {
                 let ltop = self.fresh_label("for");
                 let lcont = self.fresh_label("forstep");
                 let lend = self.fresh_label("endfor");
-                self.label(&ltop);
+                self.label(ltop);
                 if let Some(c) = cond {
-                    self.branch(c, &lend, false)?;
+                    self.branch(c, lend, false)?;
                 }
-                self.loops.push((lcont.clone(), lend.clone()));
+                self.loops.push((lcont, lend));
                 self.stmt(body)?;
                 self.loops.pop();
-                self.label(&lcont);
+                self.label(lcont);
                 if let Some(e) = step {
                     self.expr(e)?;
                     self.pop();
                 }
-                self.emit(format!("b {ltop}"));
-                self.label(&lend);
+                emit!(self, "b {ltop}");
+                self.label(lend);
                 Ok(())
             }
             Stmt::Return { value, .. } => {
                 if let Some(e) = value {
                     self.expr(e)?;
                     let r = self.pop();
-                    self.emit(format!("move $v0, {r}"));
+                    emit!(self, "move $v0, {r}");
                 }
-                let epi = self.epilogue_label();
-                self.emit(format!("b {epi}"));
+                emit!(self, "b .L{}_epi", self.func.name);
                 Ok(())
             }
             Stmt::Break { line } => {
-                let lbl = self
+                let (_, brk) = *self
                     .loops
                     .last()
-                    .ok_or_else(|| err(*line, "break outside loop (sema bug)"))?
-                    .1
-                    .clone();
-                self.emit(format!("b {lbl}"));
+                    .ok_or_else(|| err(*line, "break outside loop (sema bug)"))?;
+                emit!(self, "b {brk}");
                 Ok(())
             }
             Stmt::Continue { line } => {
-                let lbl = self
+                let (cont, _) = *self
                     .loops
                     .last()
-                    .ok_or_else(|| err(*line, "continue outside loop (sema bug)"))?
-                    .0
-                    .clone();
-                self.emit(format!("b {lbl}"));
+                    .ok_or_else(|| err(*line, "continue outside loop (sema bug)"))?;
+                emit!(self, "b {cont}");
                 Ok(())
             }
             Stmt::Block(stmts) => {
@@ -435,16 +453,16 @@ impl<'a> FnGen<'a> {
         match home {
             Home::SReg(s) => {
                 if *ty == Type::Char {
-                    self.emit(format!("andi {s}, {v}, 0xff"));
+                    emit!(self, "andi {s}, {v}, 0xff");
                 } else {
-                    self.emit(format!("move {s}, {v}"));
+                    emit!(self, "move {s}, {v}");
                 }
             }
             Home::Stack(off) => {
                 if *ty == Type::Char {
-                    self.emit(format!("sb {v}, {off}($sp)"));
+                    emit!(self, "sb {v}, {off}($sp)");
                 } else {
-                    self.emit(format!("sw {v}, {off}($sp)"));
+                    emit!(self, "sw {v}, {off}($sp)");
                 }
             }
         }
@@ -454,11 +472,16 @@ impl<'a> FnGen<'a> {
 
     /// Emits a conditional jump to `target` when `cond` evaluates truthy
     /// (`jump_if == true`) or falsy (`jump_if == false`).
-    fn branch(&mut self, cond: &Expr, target: &str, jump_if: bool) -> Result<(), CompileError> {
+    fn branch(
+        &mut self,
+        cond: &Expr,
+        target: Label<'a>,
+        jump_if: bool,
+    ) -> Result<(), CompileError> {
         match &cond.kind {
             ExprKind::Num(v) => {
                 if (*v != 0) == jump_if {
-                    self.emit(format!("b {target}"));
+                    emit!(self, "b {target}");
                 }
                 Ok(())
             }
@@ -466,9 +489,9 @@ impl<'a> FnGen<'a> {
             ExprKind::Binary(BinOp::LogAnd, l, r) => {
                 if jump_if {
                     let skip = self.fresh_label("and");
-                    self.branch(l, &skip, false)?;
+                    self.branch(l, skip, false)?;
                     self.branch(r, target, true)?;
-                    self.label(&skip);
+                    self.label(skip);
                 } else {
                     self.branch(l, target, false)?;
                     self.branch(r, target, false)?;
@@ -481,9 +504,9 @@ impl<'a> FnGen<'a> {
                     self.branch(r, target, true)?;
                 } else {
                     let skip = self.fresh_label("or");
-                    self.branch(l, &skip, true)?;
+                    self.branch(l, skip, true)?;
                     self.branch(r, target, false)?;
-                    self.label(&skip);
+                    self.label(skip);
                 }
                 Ok(())
             }
@@ -501,14 +524,14 @@ impl<'a> FnGen<'a> {
                     (BinOp::Gt, false) | (BinOp::Le, true) => "ble",
                     _ => unreachable!("non-comparison op"),
                 };
-                self.emit(format!("{mn} {a}, {b}, {target}"));
+                emit!(self, "{mn} {a}, {b}, {target}");
                 Ok(())
             }
             _ => {
                 self.expr(cond)?;
                 let r = self.pop();
                 let mn = if jump_if { "bnez" } else { "beqz" };
-                self.emit(format!("{mn} {r}, {target}"));
+                emit!(self, "{mn} {r}, {target}");
                 Ok(())
             }
         }
@@ -524,18 +547,18 @@ impl<'a> FnGen<'a> {
         match &e.kind {
             ExprKind::Num(v) => {
                 let r = self.push(line)?;
-                self.emit(format!("li {r}, {v}"));
+                emit!(self, "li {r}, {v}");
                 Ok(())
             }
             ExprKind::Str(i) => {
                 let r = self.push(line)?;
-                self.emit(format!("la {r}, .Lstr{i}"));
+                emit!(self, "la {r}, .Lstr{i}");
                 Ok(())
             }
             ExprKind::Sizeof(ty) => {
                 let size = ty.size(&self.program.structs);
                 let r = self.push(line)?;
-                self.emit(format!("li {r}, {size}"));
+                emit!(self, "li {r}, {size}");
                 Ok(())
             }
             ExprKind::Ident { name, storage } => {
@@ -544,31 +567,32 @@ impl<'a> FnGen<'a> {
                 match storage {
                     Storage::Local(i) => {
                         let home = self.homes[i];
-                        let ty = self.func.locals[i].ty.clone();
+                        let func = self.func;
+                        let ty = &func.locals[i].ty;
                         let r = self.push(line)?;
                         match (home, ty.is_scalar()) {
-                            (Home::SReg(s), _) => self.emit(format!("move {r}, {s}")),
+                            (Home::SReg(s), _) => emit!(self, "move {r}, {s}"),
                             (Home::Stack(off), true) => {
-                                if ty == Type::Char {
-                                    self.emit(format!("lbu {r}, {off}($sp)"));
+                                if *ty == Type::Char {
+                                    emit!(self, "lbu {r}, {off}($sp)");
                                 } else {
-                                    self.emit(format!("lw {r}, {off}($sp)"));
+                                    emit!(self, "lw {r}, {off}($sp)");
                                 }
                             }
-                            (Home::Stack(off), false) => self.emit(format!("addi {r}, $sp, {off}")),
+                            (Home::Stack(off), false) => emit!(self, "addi {r}, $sp, {off}"),
                         }
                     }
                     Storage::Global => {
-                        let ty = e.ty.clone();
+                        let ty = &e.ty;
                         let r = self.push(line)?;
                         if ty.is_scalar() {
-                            if ty == Type::Char {
-                                self.emit(format!("lbu {r}, {name}"));
+                            if *ty == Type::Char {
+                                emit!(self, "lbu {r}, {name}");
                             } else {
-                                self.emit(format!("lw {r}, {name}"));
+                                emit!(self, "lw {r}, {name}");
                             }
                         } else {
-                            self.emit(format!("la {r}, {name}"));
+                            emit!(self, "la {r}, {name}");
                         }
                     }
                 }
@@ -595,17 +619,17 @@ impl<'a> FnGen<'a> {
 
     fn load_scalar(&mut self, dst: Reg, addr: Reg, ty: &Type) {
         if *ty == Type::Char {
-            self.emit(format!("lbu {dst}, 0({addr})"));
+            emit!(self, "lbu {dst}, 0({addr})");
         } else {
-            self.emit(format!("lw {dst}, 0({addr})"));
+            emit!(self, "lw {dst}, 0({addr})");
         }
     }
 
     fn store_scalar(&mut self, src: Reg, addr: Reg, ty: &Type) {
         if *ty == Type::Char {
-            self.emit(format!("sb {src}, 0({addr})"));
+            emit!(self, "sb {src}, 0({addr})");
         } else {
-            self.emit(format!("sw {src}, 0({addr})"));
+            emit!(self, "sw {src}, 0({addr})");
         }
     }
 
@@ -620,21 +644,21 @@ impl<'a> FnGen<'a> {
                     Storage::Local(i) => match self.homes[i] {
                         Home::Stack(off) => {
                             let r = self.push(line)?;
-                            self.emit(format!("addi {r}, $sp, {off}"));
+                            emit!(self, "addi {r}, $sp, {off}");
                             Ok(())
                         }
                         Home::SReg(_) => Err(err(line, "address of register local (sema bug)")),
                     },
                     Storage::Global => {
                         let r = self.push(line)?;
-                        self.emit(format!("la {r}, {name}"));
+                        emit!(self, "la {r}, {name}");
                         Ok(())
                     }
                 }
             }
             ExprKind::Str(i) => {
                 let r = self.push(line)?;
-                self.emit(format!("la {r}, .Lstr{i}"));
+                emit!(self, "la {r}, .Lstr{i}");
                 Ok(())
             }
             ExprKind::Unary(UnOp::Deref, ptr) => self.expr(ptr),
@@ -645,7 +669,7 @@ impl<'a> FnGen<'a> {
                 self.scale_top(size, line)?;
                 let i = self.pop();
                 let b = self.top();
-                self.emit(format!("add {b}, {b}, {i}"));
+                emit!(self, "add {b}, {b}, {i}");
                 Ok(())
             }
             ExprKind::Member { base, field, arrow } => {
@@ -674,7 +698,7 @@ impl<'a> FnGen<'a> {
                 }
                 if offset != 0 {
                     let r = self.top();
-                    self.emit(format!("addi {r}, {r}, {offset}"));
+                    emit!(self, "addi {r}, {r}, {offset}");
                 }
                 Ok(())
             }
@@ -689,11 +713,11 @@ impl<'a> FnGen<'a> {
         }
         let r = self.top();
         if size.is_power_of_two() {
-            self.emit(format!("sll {r}, {r}, {}", size.trailing_zeros()));
+            emit!(self, "sll {r}, {r}, {}", size.trailing_zeros());
         } else {
             let tmp = self.push(line)?;
-            self.emit(format!("li {tmp}, {size}"));
-            self.emit(format!("mul {r}, {r}, {tmp}"));
+            emit!(self, "li {tmp}, {size}");
+            emit!(self, "mul {r}, {r}, {tmp}");
             self.pop();
         }
         Ok(())
@@ -707,11 +731,11 @@ impl<'a> FnGen<'a> {
         }
         let r = self.top();
         if size.is_power_of_two() {
-            self.emit(format!("sra {r}, {r}, {}", size.trailing_zeros()));
+            emit!(self, "sra {r}, {r}, {}", size.trailing_zeros());
         } else {
             let tmp = self.push(line)?;
-            self.emit(format!("li {tmp}, {size}"));
-            self.emit(format!("div {r}, {r}, {tmp}"));
+            emit!(self, "li {tmp}, {size}");
+            emit!(self, "div {r}, {r}, {tmp}");
             self.pop();
         }
         Ok(())
@@ -733,19 +757,19 @@ impl<'a> FnGen<'a> {
             UnOp::Neg => {
                 self.expr(inner)?;
                 let r = self.top();
-                self.emit(format!("neg {r}, {r}"));
+                emit!(self, "neg {r}, {r}");
                 Ok(())
             }
             UnOp::BitNot => {
                 self.expr(inner)?;
                 let r = self.top();
-                self.emit(format!("not {r}, {r}"));
+                emit!(self, "not {r}, {r}");
                 Ok(())
             }
             UnOp::Not => {
                 self.expr(inner)?;
                 let r = self.top();
-                self.emit(format!("sltiu {r}, {r}, 1"));
+                emit!(self, "sltiu {r}, {r}, 1");
                 Ok(())
             }
         }
@@ -765,12 +789,12 @@ impl<'a> FnGen<'a> {
             let lfalse = self.fresh_label("sc");
             let lend = self.fresh_label("scend");
             // branch() evaluates its operands above the reserved slot.
-            self.branch(e, &lfalse, false)?;
-            self.emit(format!("li {res}, 1"));
-            self.emit(format!("b {lend}"));
-            self.label(&lfalse);
-            self.emit(format!("li {res}, 0"));
-            self.label(&lend);
+            self.branch(e, lfalse, false)?;
+            emit!(self, "li {res}, 1");
+            emit!(self, "b {lend}");
+            self.label(lfalse);
+            emit!(self, "li {res}, 0");
+            self.label(lend);
             return Ok(());
         }
 
@@ -794,7 +818,7 @@ impl<'a> FnGen<'a> {
                 }
                 let b = self.pop();
                 let a = self.top();
-                self.emit(format!("add {a}, {a}, {b}"));
+                emit!(self, "add {a}, {a}, {b}");
                 return Ok(());
             }
             BinOp::Sub => {
@@ -802,7 +826,7 @@ impl<'a> FnGen<'a> {
                     self.expr(r)?;
                     let b = self.pop();
                     let a = self.top();
-                    self.emit(format!("sub {a}, {a}, {b}"));
+                    emit!(self, "sub {a}, {a}, {b}");
                     let size = ea.size(&self.program.structs).max(1);
                     self.unscale_top(size, line)?;
                     return Ok(());
@@ -813,13 +837,13 @@ impl<'a> FnGen<'a> {
                     self.scale_top(size, line)?;
                     let b = self.pop();
                     let a = self.top();
-                    self.emit(format!("sub {a}, {a}, {b}"));
+                    emit!(self, "sub {a}, {a}, {b}");
                     return Ok(());
                 }
                 self.expr(r)?;
                 let b = self.pop();
                 let a = self.top();
-                self.emit(format!("sub {a}, {a}, {b}"));
+                emit!(self, "sub {a}, {a}, {b}");
                 return Ok(());
             }
             _ => {}
@@ -828,26 +852,26 @@ impl<'a> FnGen<'a> {
         let b = self.pop();
         let a = self.top();
         match op {
-            BinOp::Mul => self.emit(format!("mul {a}, {a}, {b}")),
-            BinOp::Div => self.emit(format!("div {a}, {a}, {b}")),
-            BinOp::Rem => self.emit(format!("rem {a}, {a}, {b}")),
-            BinOp::And => self.emit(format!("and {a}, {a}, {b}")),
-            BinOp::Or => self.emit(format!("or {a}, {a}, {b}")),
-            BinOp::Xor => self.emit(format!("xor {a}, {a}, {b}")),
-            BinOp::Shl => self.emit(format!("sllv {a}, {b}, {a}")),
-            BinOp::Shr => self.emit(format!("srav {a}, {b}, {a}")),
-            BinOp::Lt => self.emit(format!("slt {a}, {a}, {b}")),
-            BinOp::Gt => self.emit(format!("slt {a}, {b}, {a}")),
+            BinOp::Mul => emit!(self, "mul {a}, {a}, {b}"),
+            BinOp::Div => emit!(self, "div {a}, {a}, {b}"),
+            BinOp::Rem => emit!(self, "rem {a}, {a}, {b}"),
+            BinOp::And => emit!(self, "and {a}, {a}, {b}"),
+            BinOp::Or => emit!(self, "or {a}, {a}, {b}"),
+            BinOp::Xor => emit!(self, "xor {a}, {a}, {b}"),
+            BinOp::Shl => emit!(self, "sllv {a}, {b}, {a}"),
+            BinOp::Shr => emit!(self, "srav {a}, {b}, {a}"),
+            BinOp::Lt => emit!(self, "slt {a}, {a}, {b}"),
+            BinOp::Gt => emit!(self, "slt {a}, {b}, {a}"),
             BinOp::Le => {
-                self.emit(format!("slt {a}, {b}, {a}"));
-                self.emit(format!("xori {a}, {a}, 1"));
+                emit!(self, "slt {a}, {b}, {a}");
+                emit!(self, "xori {a}, {a}, 1");
             }
             BinOp::Ge => {
-                self.emit(format!("slt {a}, {a}, {b}"));
-                self.emit(format!("xori {a}, {a}, 1"));
+                emit!(self, "slt {a}, {a}, {b}");
+                emit!(self, "xori {a}, {a}, 1");
             }
-            BinOp::Eq => self.emit(format!("seq {a}, {a}, {b}")),
-            BinOp::Ne => self.emit(format!("sne {a}, {a}, {b}")),
+            BinOp::Eq => emit!(self, "seq {a}, {a}, {b}"),
+            BinOp::Ne => emit!(self, "sne {a}, {a}, {b}"),
             BinOp::Add | BinOp::Sub | BinOp::LogAnd | BinOp::LogOr => unreachable!(),
         }
         Ok(())
@@ -863,24 +887,24 @@ impl<'a> FnGen<'a> {
         // Fast path: register-resident scalar local.
         if let ExprKind::Ident { storage: Some(Storage::Local(i)), .. } = &lhs.kind {
             if let Home::SReg(s) = self.homes[*i] {
-                let ty = self.func.locals[*i].ty.clone();
+                let is_char = self.func.locals[*i].ty == Type::Char;
                 match op {
                     None => {
                         self.expr(rhs)?;
                         let r = self.top();
-                        if ty == Type::Char {
-                            self.emit(format!("andi {r}, {r}, 0xff"));
+                        if is_char {
+                            emit!(self, "andi {r}, {r}, 0xff");
                         }
-                        self.emit(format!("move {s}, {r}"));
+                        emit!(self, "move {s}, {r}");
                     }
                     Some(op) => {
                         self.expr(rhs)?;
                         let r = self.top();
                         self.apply_compound(op, s, s, r, &lhs.ty, line)?;
-                        if ty == Type::Char {
-                            self.emit(format!("andi {s}, {s}, 0xff"));
+                        if is_char {
+                            emit!(self, "andi {s}, {s}, 0xff");
                         }
-                        self.emit(format!("move {r}, {s}"));
+                        emit!(self, "move {r}, {s}");
                     }
                 }
                 return Ok(());
@@ -893,13 +917,13 @@ impl<'a> FnGen<'a> {
                 self.expr(rhs)?;
                 let v = self.top();
                 if lhs.ty == Type::Char {
-                    self.emit(format!("andi {v}, {v}, 0xff"));
+                    emit!(self, "andi {v}, {v}, 0xff");
                 }
                 let v = self.pop();
                 let a = self.top();
                 self.store_scalar(v, a, &lhs.ty);
                 // Result is the stored value, in the slot the address held.
-                self.emit(format!("move {a}, {v}"));
+                emit!(self, "move {a}, {v}");
                 Ok(())
             }
             Some(op) => {
@@ -911,13 +935,13 @@ impl<'a> FnGen<'a> {
                 let r = self.top();
                 self.apply_compound(op, old, old, r, &lhs.ty, line)?;
                 if lhs.ty == Type::Char {
-                    self.emit(format!("andi {old}, {old}, 0xff"));
+                    emit!(self, "andi {old}, {old}, 0xff");
                 }
                 self.pop(); // rhs
                 let old = self.pop();
                 let a = self.top();
                 self.store_scalar(old, a, &lhs.ty);
-                self.emit(format!("move {a}, {old}"));
+                emit!(self, "move {a}, {old}");
                 Ok(())
             }
         }
@@ -940,11 +964,11 @@ impl<'a> FnGen<'a> {
             let size = elem.size(&self.program.structs).max(1);
             if size != 1 {
                 if size.is_power_of_two() {
-                    self.emit(format!("sll {b}, {b}, {}", size.trailing_zeros()));
+                    emit!(self, "sll {b}, {b}, {}", size.trailing_zeros());
                 } else {
                     let tmp = self.push(line)?;
-                    self.emit(format!("li {tmp}, {size}"));
-                    self.emit(format!("mul {b}, {b}, {tmp}"));
+                    emit!(self, "li {tmp}, {size}");
+                    emit!(self, "mul {b}, {b}, {tmp}");
                     self.pop();
                 }
             }
@@ -959,16 +983,16 @@ impl<'a> FnGen<'a> {
             BinOp::Or => "or",
             BinOp::Xor => "xor",
             BinOp::Shl => {
-                self.emit(format!("sllv {dst}, {b}, {a}"));
+                emit!(self, "sllv {dst}, {b}, {a}");
                 return Ok(());
             }
             BinOp::Shr => {
-                self.emit(format!("srav {dst}, {b}, {a}"));
+                emit!(self, "srav {dst}, {b}, {a}");
                 return Ok(());
             }
             other => return Err(err(line, format!("bad compound operator {other:?}"))),
         };
-        self.emit(format!("{mn} {dst}, {a}, {b}"));
+        emit!(self, "{mn} {dst}, {a}, {b}");
         Ok(())
     }
 
@@ -993,17 +1017,17 @@ impl<'a> FnGen<'a> {
         // Register-resident local.
         if let ExprKind::Ident { storage: Some(Storage::Local(i)), .. } = &target.kind {
             if let Home::SReg(s) = self.homes[*i] {
-                let ty = self.func.locals[*i].ty.clone();
+                let is_char = self.func.locals[*i].ty == Type::Char;
                 let r = self.push(line)?;
                 if !pre {
-                    self.emit(format!("move {r}, {s}"));
+                    emit!(self, "move {r}, {s}");
                 }
-                self.emit(format!("addi {s}, {s}, {delta}"));
-                if ty == Type::Char {
-                    self.emit(format!("andi {s}, {s}, 0xff"));
+                emit!(self, "addi {s}, {s}, {delta}");
+                if is_char {
+                    emit!(self, "andi {s}, {s}, 0xff");
                 }
                 if pre {
-                    self.emit(format!("move {r}, {s}"));
+                    emit!(self, "move {r}, {s}");
                 }
                 return Ok(());
             }
@@ -1013,25 +1037,25 @@ impl<'a> FnGen<'a> {
         let v = self.push(line)?;
         self.load_scalar(v, a, &target.ty);
         if pre {
-            self.emit(format!("addi {v}, {v}, {delta}"));
+            emit!(self, "addi {v}, {v}, {delta}");
             if target.ty == Type::Char {
-                self.emit(format!("andi {v}, {v}, 0xff"));
+                emit!(self, "andi {v}, {v}, 0xff");
             }
             self.store_scalar(v, a, &target.ty);
             let v = self.pop();
             let a = self.top();
-            self.emit(format!("move {a}, {v}"));
+            emit!(self, "move {a}, {v}");
         } else {
             let n = self.push(line)?;
-            self.emit(format!("addi {n}, {v}, {delta}"));
+            emit!(self, "addi {n}, {v}, {delta}");
             if target.ty == Type::Char {
-                self.emit(format!("andi {n}, {n}, 0xff"));
+                emit!(self, "andi {n}, {n}, 0xff");
             }
             self.store_scalar(n, a, &target.ty);
             self.pop(); // n
             let v = self.pop();
             let a = self.top();
-            self.emit(format!("move {a}, {v}"));
+            emit!(self, "move {a}, {v}");
         }
         Ok(())
     }
@@ -1046,25 +1070,25 @@ impl<'a> FnGen<'a> {
             self.expr(arg)?;
         }
         for i in 0..args.len() {
-            self.emit(format!("sw {}, {}($sp)", T_REGS[base + i], 4 * i));
+            emit!(self, "sw {}, {}($sp)", T_REGS[base + i], 4 * i);
         }
         self.depth = base;
         // Spill live temporaries (caller-saved) around the call.
         let live = self.depth;
         for (d, reg) in T_REGS.iter().enumerate().take(live) {
             let off = self.spill_base + 4 * d as u32;
-            self.emit(format!("sw {reg}, {off}($sp)"));
+            emit!(self, "sw {reg}, {off}($sp)");
         }
         for i in 0..args.len().min(4) {
             let a = Reg::arg(i).expect("register argument");
-            self.emit(format!("lw {a}, {}($sp)", 4 * i));
+            emit!(self, "lw {a}, {}($sp)", 4 * i);
         }
-        self.emit(format!("jal {name}"));
+        emit!(self, "jal {name}");
         let res = self.push(line)?;
-        self.emit(format!("move {res}, $v0"));
+        emit!(self, "move {res}, $v0");
         for (d, reg) in T_REGS.iter().enumerate().take(live) {
             let off = self.spill_base + 4 * d as u32;
-            self.emit(format!("lw {reg}, {off}($sp)"));
+            emit!(self, "lw {reg}, {off}($sp)");
         }
         Ok(())
     }

@@ -63,6 +63,21 @@ cmp results/reuse_buffer_sweep.txt "$SMOKE_DIR/reuse_buffer_sweep.txt" || {
     exit 1
 }
 
+# A listing names an address shared by several labels with the first
+# one defined, so every family's hottest-function listing is the same
+# bytes from run to run.
+echo "==> disassembly listings repeat byte for byte (examples/disassemble, release)"
+cargo build --release --offline --example disassemble
+for w in $(target/release/instrep-repro --list | tail -n +2 | cut -d' ' -f1); do
+    for RUN in 1 2; do
+        target/release/examples/disassemble "$w" >"$SMOKE_DIR/disasm-$w-$RUN.txt"
+    done
+    cmp "$SMOKE_DIR/disasm-$w-1.txt" "$SMOKE_DIR/disasm-$w-2.txt" || {
+        echo "examples/disassemble $w printed two different listings" >&2
+        exit 1
+    }
+done
+
 # The goldens run one workload, where --jobs clamps to one thread. All
 # ten families, tables and both §3 checks, must print the same bytes
 # whatever the thread count.

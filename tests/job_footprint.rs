@@ -1,7 +1,7 @@
 //! Allocation gate: a job allocates in proportion to the simulated pages
-//! it touches, not to the size of the 32-bit address space, and each
-//! workload family's tiny job stays within a pinned allocation count and
-//! byte total.
+//! it touches, not to the size of the 32-bit address space; each
+//! workload family's tiny job and image build allocate exactly their
+//! pinned counts and bytes; and each build makes the pinned image.
 //!
 //! A counting global allocator tallies the allocations and bytes requested
 //! on the thread that armed it, so tests running in parallel do not see
@@ -11,10 +11,14 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::hash::Hasher;
 
+use instrep::asm::assemble;
+use instrep::core::FxHasher;
+use instrep::minicc::compile_to_asm;
 use instrep::sim::Memory;
 use instrep::workloads::{all, Scale};
-use instrep::{AnalysisConfig, Session};
+use instrep::{AnalysisConfig, CacheKey, Session};
 
 /// [`System`] plus per-thread allocation and byte counters. `realloc`
 /// counts as one allocation of the new size.
@@ -112,27 +116,28 @@ fn trivial_job_allocates_under_a_mebibyte() {
 /// `(family, allocations, bytes)` of one `Session::run_one` at
 /// `Scale::Tiny`, seed 1998, with the CLI's tiny windows (skip 20,000,
 /// window 400,000). Each pin is the measured count, which repeats exactly
-/// from run to run and is the same in debug and release builds. A change
-/// that lowers a count lowers its pin with it.
+/// from run to run and is the same in debug and release builds. The test
+/// asserts equality, so a change that lowers a count lowers its pin with
+/// it and the gain stays locked in.
 const TINY_JOB_PINS: [(&str, u64, u64); 10] = [
-    ("go", 2_580, 3_007_392),
-    ("m88ksim", 1_174, 1_369_130),
-    ("ijpeg", 1_982, 4_415_784),
-    ("perl", 2_287, 4_166_157),
-    ("vortex", 4_666, 6_165_749),
-    ("li", 2_175, 1_772_476),
-    ("gcc", 3_781, 5_849_461),
-    ("compress", 4_540, 9_537_422),
-    ("interp", 330, 1_781_298),
-    ("stencil", 568, 4_539_808),
+    ("go", 2_484, 2_967_336),
+    ("m88ksim", 1_099, 1_318_858),
+    ("ijpeg", 1_852, 4_260_872),
+    ("perl", 2_108, 4_020_181),
+    ("vortex", 4_525, 5_945_365),
+    ("li", 1_925, 1_753_964),
+    ("gcc", 3_342, 5_408_389),
+    ("compress", 4_372, 9_127_494),
+    ("interp", 302, 1_780_402),
+    ("stencil", 560, 4_539_544),
 ];
 
 #[test]
 fn tiny_family_jobs_stay_within_their_allocation_pins() {
     let cfg = AnalysisConfig { skip: 20_000, window: 400_000, ..AnalysisConfig::default() };
-    let mut over = Vec::new();
+    let mut wrong = Vec::new();
     for wl in all() {
-        let &(_, max_allocs, max_bytes) = TINY_JOB_PINS
+        let &(_, allocs, bytes) = TINY_JOB_PINS
             .iter()
             .find(|(name, ..)| *name == wl.name)
             .unwrap_or_else(|| panic!("{} has no allocation pin", wl.name));
@@ -144,12 +149,73 @@ fn tiny_family_jobs_stay_within_their_allocation_pins() {
             "{}: {} allocations, {} B over {events} events",
             wl.name, used.allocs, used.bytes
         );
-        if used.allocs > max_allocs {
-            over.push(format!("{}: {} allocations, pin {max_allocs}", wl.name, used.allocs));
-        }
-        if used.bytes > max_bytes {
-            over.push(format!("{}: {} B, pin {max_bytes} B", wl.name, used.bytes));
+        if (used.allocs, used.bytes) != (allocs, bytes) {
+            wrong.push(format!(
+                "{}: {} allocations, {} B; pin {allocs}, {bytes} B",
+                wl.name, used.allocs, used.bytes
+            ));
         }
     }
-    assert!(over.is_empty(), "tiny jobs over their allocation pins:\n{}", over.join("\n"));
+    assert!(wrong.is_empty(), "tiny jobs off their allocation pins:\n{}", wrong.join("\n"));
+}
+
+/// `(family, allocations, bytes, image key, text hash)` of one image
+/// build: `compile_to_asm` of the family's full source, then `assemble`
+/// (the source string itself is made outside the count). The counts
+/// repeat exactly and are the same in debug and release builds; as with
+/// the job pins, a change that lowers one lowers its pin. The image key
+/// is `CacheKey::derive(&image, &[], &AnalysisConfig::default())`, which
+/// hashes the image's text, lines, data, init ranges, entry and funcs;
+/// the text hash is an `FxHasher` hash of the assembly text. Together
+/// they pin the build's output bytes: a change to the compiler or the
+/// assembler that moves either changes what every analysis runs on.
+const BUILD_PINS: [(&str, u64, u64, &str, u64); 10] = [
+    ("go", 1_604, 701_191, "7f5abda7827b392cab889b0e70a2350c", 0x39fc_2a4d_4254_9002),
+    ("m88ksim", 1_195, 486_342, "d2023e308e3887f1ad6e684787d3e412", 0xe4e4_45cb_c835_16e9),
+    ("ijpeg", 1_499, 696_409, "75bb85586fb7c6809d49e679a3296f36", 0x2f6a_d033_bdcf_6631),
+    ("perl", 1_901, 863_598, "fcc24ac9b9f632d6717125147f2113c2", 0x7515_2c9e_b079_25c4),
+    ("vortex", 1_471, 605_794, "499fa7f1cf3b3b8388cab81452725842", 0x395f_6a84_6133_b571),
+    ("li", 1_813, 861_462, "0a4e90326720232e5a0e2000a4c9f84f", 0x932f_e5d2_be4d_b47f),
+    ("gcc", 1_944, 880_199, "3dd8d3b51dfcdfd65a8e53aa9768899f", 0x623f_660f_917a_d19b),
+    ("compress", 1_143, 516_623, "ededfd7d1751c96d3be1acf349c1907f", 0xef0d_279d_5404_9be4),
+    ("interp", 1_004, 425_081, "0895337a8a10a4ee7e838b051c44d73f", 0x3968_801a_f6a2_ff52),
+    ("stencil", 761, 312_035, "2c339e8c1d3673f33cad41e70f99d7e8", 0xe35e_a050_0f04_89ce),
+];
+
+#[test]
+fn family_builds_match_their_pins() {
+    let mut wrong = Vec::new();
+    for wl in all() {
+        let &(_, allocs, bytes, key, text_hash) = BUILD_PINS
+            .iter()
+            .find(|(name, ..)| *name == wl.name)
+            .unwrap_or_else(|| panic!("{} has no build pin", wl.name));
+        let src = wl.full_source();
+        let (used, (asm, image)) = allocated(|| {
+            let asm = compile_to_asm(&src).expect("family compiles");
+            let image = assemble(&asm).expect("family assembles");
+            (asm, image)
+        });
+        let got_key = CacheKey::derive(&image, &[], &AnalysisConfig::default()).to_string();
+        let mut h = FxHasher::default();
+        h.write(asm.as_bytes());
+        let got_hash = h.finish();
+        eprintln!(
+            "{}: {} allocations, {} B, key {got_key}, text hash {got_hash:#018x}",
+            wl.name, used.allocs, used.bytes
+        );
+        if (used.allocs, used.bytes) != (allocs, bytes) {
+            wrong.push(format!(
+                "{}: {} allocations, {} B; pin {allocs}, {bytes} B",
+                wl.name, used.allocs, used.bytes
+            ));
+        }
+        if got_key != key {
+            wrong.push(format!("{}: image key {got_key}, pin {key}", wl.name));
+        }
+        if got_hash != text_hash {
+            wrong.push(format!("{}: text hash {got_hash:#018x}, pin {text_hash:#018x}", wl.name));
+        }
+    }
+    assert!(wrong.is_empty(), "family builds off their pins:\n{}", wrong.join("\n"));
 }
